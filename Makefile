@@ -11,8 +11,11 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags invariants ./...
 
-## lint: run the codebase-specific static analyzers (cmd/vetx)
+## lint: fail on any gofmt drift (analyzer fixtures under testdata are
+## exempt), then run the codebase-specific static analyzers (cmd/vetx)
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/vetx ./...
 
 test:

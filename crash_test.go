@@ -1,16 +1,19 @@
 package extdb_test
 
 // Crash-recovery matrix: a scripted workload drives DML with implicit
-// domain-index maintenance across two cartridges (text and colls, both
-// storing index data inside the database), a fault-injecting backend and
-// WAL sink simulate power loss at every fault-eligible operation, and
-// after each simulated crash the database is reopened on the durable
-// media and checked against a Go-side model:
+// domain-index maintenance across three cartridges (text and colls store
+// index data in tables, chem in a LOB), plus a built-in bitmap index; a
+// fault-injecting backend and WAL sink simulate power loss at every
+// fault-eligible operation, and after each simulated crash the database
+// is reopened on the durable media and checked against a Go-side model:
 //
 //   - every statement whose commit was acknowledged is present,
-//   - every statement that returned an error is absent,
+//   - every statement that returned an error is absent, DDL included
+//     (the reopened dictionary holds exactly the acknowledged objects),
 //   - domain-index scans agree with full-table scans (heap/index
-//     agreement), and for colls with a naive membership oracle too.
+//     agreement), and for colls with a naive membership oracle too,
+//   - the rebuilt derived state is exact: every bitmap COUNT(*) per value
+//     equals the heap count, and every table's RowCount equals its rows.
 //
 // All test names carry the Crash prefix so `go test -run Crash` selects
 // exactly this harness.
@@ -24,6 +27,7 @@ import (
 	"time"
 
 	extdb "repro"
+	"repro/internal/cartridge/chem"
 	"repro/internal/cartridge/colls"
 	"repro/internal/cartridge/text"
 	"repro/internal/storage"
@@ -46,18 +50,28 @@ type crashBag struct {
 // crashModel is the oracle: the state the durable database must show
 // after recovery, given the set of acknowledged statements.
 type crashModel struct {
-	textSetup  bool
-	collsSetup bool
-	docsTable  bool
-	docsIndex  bool
-	bagsTable  bool
-	bagsIndex  bool
-	docs       map[int64]string
-	bags       map[string][]string
+	textSetup   bool
+	collsSetup  bool
+	chemSetup   bool
+	docsTable   bool
+	docsIndex   bool
+	bagsTable   bool
+	bagsIndex   bool
+	molsTable   bool
+	molsIndex   bool
+	ordersTable bool
+	ordersIndex bool
+	docs        map[int64]string
+	bags        map[string][]string
+	mols        map[int64]string
+	orders      map[int64]string // id -> status
 }
 
 func newCrashModel() *crashModel {
-	return &crashModel{docs: map[int64]string{}, bags: map[string][]string{}}
+	return &crashModel{
+		docs: map[int64]string{}, bags: map[string][]string{},
+		mols: map[int64]string{}, orders: map[int64]string{},
+	}
 }
 
 type crashStep struct {
@@ -97,6 +111,18 @@ func insertBagStep(name string, tags ...string) crashStep {
 	}
 }
 
+func insertMolStep(id int64, smiles string) crashStep {
+	stmt := fmt.Sprintf(`INSERT INTO Mols VALUES (%d, '%s')`, id, smiles)
+	return execStep(fmt.Sprintf("insert mol %d", id), stmt,
+		func(m *crashModel) { m.mols[id] = smiles })
+}
+
+func insertOrderStep(id int64, status string) crashStep {
+	stmt := fmt.Sprintf(`INSERT INTO Orders VALUES (%d, '%s')`, id, status)
+	return execStep(fmt.Sprintf("insert order %d", id), stmt,
+		func(m *crashModel) { m.orders[id] = status })
+}
+
 // crashSteps is the scripted workload. Each step is one transaction
 // (autocommit, except the explicit BEGIN...COMMIT step), so the model is
 // updated exactly when the step's commit is acknowledged.
@@ -133,6 +159,27 @@ func crashSteps() []crashStep {
 		execStep("delete doc 3", `DELETE FROM Docs WHERE id = 3`,
 			func(m *crashModel) { delete(m.docs, 3) }),
 		{
+			name:  "install chem cartridge",
+			run:   func(db *extdb.DB, s *extdb.Session) error { return extdb.InstallChemCartridge(db, s) },
+			apply: func(m *crashModel) { m.chemSetup = true },
+		},
+		execStep("create Mols", `CREATE TABLE Mols(id NUMBER, mol VARCHAR2)`,
+			func(m *crashModel) { m.molsTable = true }),
+		insertMolStep(1, "CC(=O)Nc1ccccc1"),
+		insertMolStep(2, "c1ccccc1"),
+		execStep("create MolsIdx",
+			`CREATE INDEX MolsIdx ON Mols(mol) INDEXTYPE IS ChemIndexType`,
+			func(m *crashModel) { m.molsIndex = true }),
+		insertMolStep(3, "CCO"),
+		execStep("create Orders", `CREATE TABLE Orders(id NUMBER, status VARCHAR2)`,
+			func(m *crashModel) { m.ordersTable = true }),
+		insertOrderStep(1, "open"),
+		insertOrderStep(2, "shipped"),
+		insertOrderStep(3, "open"),
+		execStep("create OrdersStatus", `CREATE BITMAP INDEX OrdersStatus ON Orders(status)`,
+			func(m *crashModel) { m.ordersIndex = true }),
+		insertOrderStep(4, "open"),
+		{
 			name:  "checkpoint",
 			run:   func(db *extdb.DB, _ *extdb.Session) error { return db.Checkpoint() },
 			apply: func(*crashModel) {},
@@ -166,6 +213,13 @@ func crashSteps() []crashStep {
 		execStep("update bag carol via delete", `DELETE FROM Bags WHERE name = 'carol'`,
 			func(m *crashModel) { delete(m.bags, "carol") }),
 		insertBagStep("carol", "skiing", "golf"),
+		execStep("ship order 1", `UPDATE Orders SET status = 'shipped' WHERE id = 1`,
+			func(m *crashModel) { m.orders[1] = "shipped" }),
+		execStep("delete order 3", `DELETE FROM Orders WHERE id = 3`,
+			func(m *crashModel) { delete(m.orders, 3) }),
+		execStep("delete mol 2", `DELETE FROM Mols WHERE id = 2`,
+			func(m *crashModel) { delete(m.mols, 2) }),
+		insertMolStep(4, "c1ccccc1O"),
 	}
 }
 
@@ -240,6 +294,9 @@ func reopenDurable(t *testing.T, media crashMedia, label string) (*extdb.DB, *ex
 	if err := colls.Register(db); err != nil {
 		t.Fatalf("%s: re-register colls cartridge: %v", label, err)
 	}
+	if _, err := chem.Register(db); err != nil {
+		t.Fatalf("%s: re-register chem cartridge: %v", label, err)
+	}
 	return db, db.NewSession()
 }
 
@@ -278,6 +335,81 @@ func queryBagNames(t *testing.T, s *extdb.Session, forced, tag, label string) []
 	return names
 }
 
+func queryMolIDs(t *testing.T, s *extdb.Session, forced, pred, label string) []int64 {
+	t.Helper()
+	s.SetForcedPath(forced)
+	defer s.SetForcedPath(extdb.ForceAuto)
+	rs, err := s.Query(`SELECT id FROM Mols WHERE ` + pred)
+	if err != nil {
+		t.Fatalf("%s: %s via %s: %v", label, pred, forced, err)
+	}
+	var ids []int64
+	for _, r := range rs.Rows {
+		ids = append(ids, r[0].Int64())
+	}
+	return sortedInt64(ids)
+}
+
+func countOrders(t *testing.T, s *extdb.Session, forced, status, label string) int64 {
+	t.Helper()
+	s.SetForcedPath(forced)
+	defer s.SetForcedPath(extdb.ForceAuto)
+	rs, err := s.Query(`SELECT COUNT(*) FROM Orders WHERE status = ?`, extdb.Str(status))
+	if err != nil {
+		t.Fatalf("%s: count %s orders via %s: %v", label, status, forced, err)
+	}
+	return rs.Rows[0][0].Int64()
+}
+
+// queryIDs maps the id column of a full scan to the second column.
+func queryIDs(t *testing.T, s *extdb.Session, table, label string) map[int64]string {
+	t.Helper()
+	rs, err := s.Query(`SELECT * FROM ` + table)
+	if err != nil {
+		t.Fatalf("%s: scan %s: %v", label, table, err)
+	}
+	got := map[int64]string{}
+	for _, r := range rs.Rows {
+		got[r[0].Int64()] = r[1].Text()
+	}
+	return got
+}
+
+// verifyDictionary asserts the reopened dictionary holds exactly the
+// acknowledged schema objects, and that every table's row count — state
+// rebuilt at open, not stored — equals the rows in its heap.
+func verifyDictionary(t *testing.T, db *extdb.DB, m *crashModel, label string) {
+	t.Helper()
+	cat := db.Catalog()
+	for name, want := range map[string]bool{
+		"Docs": m.docsTable, "Bags": m.bagsTable, "Mols": m.molsTable, "Orders": m.ordersTable,
+	} {
+		if _, got := cat.Table(name); got != want {
+			t.Fatalf("%s: table %s present = %v, want %v", label, name, got, want)
+		}
+	}
+	for name, want := range map[string]bool{
+		"DocsIdx": m.docsIndex, "BagsIdx": m.bagsIndex, "MolsIdx": m.molsIndex, "OrdersStatus": m.ordersIndex,
+	} {
+		if _, got := cat.Index(name); got != want {
+			t.Fatalf("%s: index %s present = %v, want %v", label, name, got, want)
+		}
+	}
+	for _, tbl := range cat.Tables() {
+		rows := 0
+		err := tbl.Heap.Scan(func(storage.RID, []byte) (bool, error) {
+			rows++
+			return true, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: scan heap of %s: %v", label, tbl.Name, err)
+		}
+		if tbl.RowCount != rows {
+			t.Fatalf("%s: %s RowCount = %d, heap holds %d rows", label, tbl.Name, tbl.RowCount, rows)
+		}
+	}
+}
+
 // verifyDurable asserts the reopened database matches the model in both
 // directions: acknowledged data present, unacknowledged data absent, and
 // the domain indexes agreeing with full scans.
@@ -290,6 +422,7 @@ func verifyDurable(t *testing.T, media crashMedia, m *crashModel, label string) 
 		}
 	}()
 	info := db.RecoveryInfo()
+	verifyDictionary(t, db, m, label)
 
 	// Docs heap vs model.
 	rs, err := s.Query(`SELECT id, body FROM Docs ORDER BY id`)
@@ -366,6 +499,48 @@ func verifyDurable(t *testing.T, media crashMedia, m *crashModel, label string) 
 				if !reflect.DeepEqual(dom, naive) {
 					t.Fatalf("%s: CollContains(%q): domain scan %v != oracle %v",
 						label, tag, dom, naive)
+				}
+			}
+		}
+	}
+	// Chem: the LOB-resident index agrees with the functional evaluation.
+	if m.molsTable {
+		if got := queryIDs(t, s, "Mols", label); !reflect.DeepEqual(got, m.mols) {
+			t.Fatalf("%s: Mols after recovery = %v, want %v", label, got, m.mols)
+		}
+	}
+	if m.molsIndex {
+		for _, pred := range []string{
+			`ChemContains(mol, 'c1ccccc1')`,
+			`ChemExact(mol, 'CC(=O)Nc1ccccc1')`,
+			`ChemExact(mol, 'OCC')`,
+		} {
+			full := queryMolIDs(t, s, extdb.ForceFullScan, pred, label)
+			dom := queryMolIDs(t, s, extdb.ForceDomainScan, pred, label)
+			if !reflect.DeepEqual(full, dom) {
+				t.Fatalf("%s: %s: full scan %v != domain scan %v", label, pred, full, dom)
+			}
+		}
+	}
+
+	// Bitmap: the index rebuilt at open counts exactly what the heap holds.
+	if m.ordersTable {
+		if got := queryIDs(t, s, "Orders", label); !reflect.DeepEqual(got, m.orders) {
+			t.Fatalf("%s: Orders after recovery = %v, want %v", label, got, m.orders)
+		}
+		for _, status := range []string{"open", "shipped", "lost"} {
+			var want int64
+			for _, st := range m.orders {
+				if st == status {
+					want++
+				}
+			}
+			if full := countOrders(t, s, extdb.ForceFullScan, status, label); full != want {
+				t.Fatalf("%s: heap count of %s orders = %d, want %d", label, status, full, want)
+			}
+			if m.ordersIndex {
+				if bm := countOrders(t, s, extdb.ForceIndexScan, status, label); bm != want {
+					t.Fatalf("%s: bitmap count of %s orders = %d, heap holds %d", label, status, bm, want)
 				}
 			}
 		}
@@ -482,27 +657,25 @@ func TestCrashTornCheckpointRepairsPageFile(t *testing.T) {
 	}
 }
 
-// TestCrashFailedSyncPoisonsWAL injects a plain I/O failure (no power
-// loss) into a commit's log sync: the statement must fail and roll back,
-// later commits must be refused with ErrWALBroken (the log tail is
-// suspect), and reopening must recover every acknowledged commit and
-// nothing else.
-func TestCrashFailedSyncPoisonsWAL(t *testing.T) {
+// failCommitSync runs the workload up to the named step with a plain I/O
+// failure (no power loss) injected into that step's commit log sync — the
+// last fault-eligible op of an autocommit step — and returns the open
+// database, its session and the model of the acknowledged steps before
+// it. The victim step must have failed with the injected error.
+func failCommitSync(t *testing.T, victimName string) (crashMedia, *extdb.DB, *extdb.Session, *crashModel) {
+	t.Helper()
 	_, _, bounds := runPassive(t, 0)
 	victim := -1
 	for i, st := range crashSteps() {
-		if st.name == "insert doc 3" {
+		if st.name == victimName {
 			victim = i
 		}
 	}
 	if victim < 0 {
-		t.Fatal("no victim step")
+		t.Fatalf("no step %q", victimName)
 	}
-	// The last op of an autocommit DML step is its commit's log sync.
-	point := bounds[victim]
-
 	media := newCrashMedia(0)
-	inj := fault.NewInjector().Set(point, fault.Fail)
+	inj := fault.NewInjector().Set(bounds[victim], fault.Fail)
 	db, err := extdb.Open(extdb.Options{
 		Backend:        fault.NewBackend(inj, media.backend),
 		WALSink:        fault.NewSink(inj, media.sink),
@@ -523,6 +696,16 @@ func TestCrashFailedSyncPoisonsWAL(t *testing.T) {
 	if err := steps[victim].run(db, s); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("victim step error = %v, want injected I/O error", err)
 	}
+	return media, db, s, m
+}
+
+// TestCrashFailedSyncPoisonsWAL injects a plain I/O failure (no power
+// loss) into a commit's log sync: the statement must fail and roll back,
+// later commits must be refused with ErrWALBroken (the log tail is
+// suspect), and reopening must recover every acknowledged commit and
+// nothing else.
+func TestCrashFailedSyncPoisonsWAL(t *testing.T) {
+	media, db, s, m := failCommitSync(t, "insert doc 3")
 	// The statement rolled back in memory: the row is absent now...
 	if rs, err := s.Query(`SELECT id FROM Docs WHERE id = 3`); err != nil || len(rs.Rows) != 0 {
 		t.Fatalf("failed insert visible after rollback: rows=%v err=%v", rs, err)
@@ -535,6 +718,18 @@ func TestCrashFailedSyncPoisonsWAL(t *testing.T) {
 		t.Fatalf("close of poisoned database = %v, want ErrWALBroken", err)
 	}
 	verifyDurable(t, media, m, "poisoned-wal")
+}
+
+// TestCrashFailedDDLKeepsPreviousDictionary fails a DDL after it wrote
+// its dictionary chain: the commit's log sync fails, so the statement
+// rolls back, and the reopened database must show the pre-DDL dictionary
+// (verifyDurable checks the index is absent and the table intact).
+func TestCrashFailedDDLKeepsPreviousDictionary(t *testing.T) {
+	media, db, _, m := failCommitSync(t, "create OrdersStatus")
+	if err := db.Close(); !errors.Is(err, extdb.ErrWALBroken) {
+		t.Fatalf("close of poisoned database = %v, want ErrWALBroken", err)
+	}
+	verifyDurable(t, media, m, "failed-ddl")
 }
 
 // TestCrashRecoveryIsIdempotent crashes mid-workload, then "crashes"
@@ -564,14 +759,14 @@ func TestCrashRecoveryIsIdempotent(t *testing.T) {
 // session in flight on a domain-indexed table. Ordinary writers admit
 // shared and commit concurrently (see the concurrent matrix in
 // crash_concurrent_test.go), but DML on a table with a domain or bitmap
-// index admits exclusively: its maintenance mutates dictionary-resident
-// state that rides wholesale in every committer's snapshot. The test
-// pins both halves of that contract:
+// index admits exclusively: its index maintenance is undone logically
+// (a chem LOB truncated back to its old length, say), and that undo
+// assumes no other open transaction changed the same structure in
+// between. The test pins both halves of that contract:
 //
 //   - a write to the domain-indexed table in another session blocks
-//     while a write transaction on it is open, instead of committing and
-//     durably logging a snapshot of the open transaction's in-flight
-//     index state;
+//     while a write transaction on it is open, instead of interleaving
+//     its index maintenance with the open transaction's;
 //   - after a crash with a write transaction open, its changes are gone
 //     on reopen while everything acknowledged before the crash survives,
 //     with heap/index agreement.
@@ -608,9 +803,8 @@ func TestCrashMultiSessionIsolation(t *testing.T) {
 	mustExec(sB, `INSERT INTO Docs VALUES (3, 'oracle tuning')`)
 
 	// A's autocommit write to the same domain-indexed table must wait for
-	// B's transaction to finish. If it completes while B is open, its
-	// commit record's snapshot would have durably captured B's in-flight
-	// index state.
+	// B's transaction to finish: exclusive admission keeps the two
+	// transactions' index maintenance from interleaving.
 	aDone := make(chan error, 1)
 	go func() {
 		_, err := sA.Exec(`INSERT INTO Docs VALUES (4, 'unix shell')`)

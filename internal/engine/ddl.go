@@ -16,36 +16,35 @@ import (
 	"repro/internal/types"
 )
 
-// execDDL dispatches data-definition statements. DDL is auto-committed:
-// an open explicit transaction is committed first (Oracle's implicit
-// commit), except on callback sessions, which execute structural changes
-// inside the invoking statement (index definition routines have no
-// restrictions, §2.5).
-// execDDL executes one DDL statement. A top-level DDL runs in its own
-// transaction so everything a domain-index definition routine does
+// execDDL executes one DDL statement. DDL is auto-committed: an open
+// explicit transaction is committed first (Oracle's implicit commit),
+// except on callback sessions, which execute structural changes inside
+// the invoking statement (index definition routines have no
+// restrictions, §2.5) and so join its transaction. A top-level DDL — or
+// callback DDL issued outside any statement — runs in its own
+// transaction, so everything a domain-index definition routine does
 // through callback sessions (which share the invoking transaction)
-// commits or rolls back with the statement; the commit is forced
-// durable, since pure-dictionary DDL dirties no pages yet must survive a
-// crash via the commit record's snapshot. Callback-session DDL joins the
-// invoking statement's transaction instead.
+// commits or rolls back with the statement.
 func (s *Session) execDDL(st sql.Statement) error {
 	if s.explicit && !s.isCallback {
 		if err := s.Commit(); err != nil {
 			return fmt.Errorf("engine: implicit commit before DDL: %w", err)
 		}
 	}
-	if s.isCallback {
+	if s.isCallback && s.tx != nil {
 		return s.dispatchDDL(st)
 	}
 	t := s.db.txns.Begin()
-	// DDL rewrites the dictionary, which every concurrent committer's
-	// snapshot gob-encodes wholesale — so DDL admits exclusively, draining
-	// all shared writers first. Admission comes before any table lock (the
-	// implicit commit above already released any admission this session's
-	// explicit transaction held), and the dispatch — catalog pages, whole
-	// index builds through callback sessions sharing t — runs inside the
-	// mutation window. Rollback happens inside the window too; the commit
-	// runs after it exits, so its fsync never blocks the window.
+	// DDL admits exclusively, draining all other writers first: the
+	// chain it writes encodes the whole in-memory dictionary, which is
+	// not transactional, so no other DDL may have changes in flight; and
+	// a DDL may drop or rebuild storage an open transaction has written.
+	// Admission comes before any table lock (the implicit commit above
+	// already released any admission this session's explicit transaction
+	// held), and the dispatch — dictionary pages, whole index builds
+	// through callback sessions sharing t — runs inside the mutation
+	// window. Rollback happens inside the window too; the commit runs
+	// after it exits, so its fsync never blocks the window.
 	s.db.admitTxn(t, true)
 	s.tx, s.explicit = t, true
 	exit := s.db.enterMutation(t.ID, false)
@@ -60,7 +59,6 @@ func (s *Session) execDDL(st sql.Statement) error {
 		return err
 	}
 	exit()
-	t.ForceDurable()
 	s.db.flight.Record(obs.EvDDL, t.ID, 0, ddlTag(st))
 	return t.Commit()
 }
@@ -75,7 +73,18 @@ func ddlTag(st sql.Statement) string {
 	return name
 }
 
+// dispatchDDL applies one DDL statement and then writes the dictionary's
+// page chain in the statement's transaction, so the chain is logged with
+// the statement's commit and restored by its rollback. Callback DDL from
+// index definition routines passes through here too.
 func (s *Session) dispatchDDL(st sql.Statement) error {
+	if err := s.applyDDL(st); err != nil {
+		return err
+	}
+	return s.db.writeDictionary(s.tx)
+}
+
+func (s *Session) applyDDL(st sql.Statement) error {
 	switch x := st.(type) {
 	case *sql.CreateTable:
 		return s.createTable(x)
@@ -122,27 +131,9 @@ func (s *Session) analyzeTable(x *sql.AnalyzeTable) error {
 	for i := range distinct {
 		distinct[i] = make(map[string]struct{})
 	}
-	rows := 0
-	err := tbl.Heap.Scan(func(_ storage.RID, img []byte) (bool, error) {
-		row, _, err := types.DecodeRow(img)
-		if err != nil {
-			return false, err
-		}
-		rows++
-		for i, ix := range idxs {
-			if ix.Kind == catalog.DomainIndex {
-				continue
-			}
-			v := row[ix.ColPos]
-			distinct[i][string(types.EncodeKey(nil, v))] = struct{}{}
-			ix.ObserveValue(v)
-		}
-		return true, nil
-	})
-	if err != nil {
+	if err := scanTable(tbl, idxs, distinct, false); err != nil {
 		return err
 	}
-	tbl.RowCount = rows
 	for i, ix := range idxs {
 		if ix.Kind == catalog.DomainIndex {
 			it, ok := s.db.cat.IndexType(ix.IndexType)
@@ -162,6 +153,41 @@ func (s *Session) analyzeTable(x *sql.AnalyzeTable) error {
 		}
 		ix.DistinctKeys = len(distinct[i])
 	}
+	return nil
+}
+
+// scanTable is the one pass over a table's heap that statistics and
+// derived state come from: it sets the row count and widens each built-in
+// index's numeric range; with distinct non-nil it also gathers each
+// built-in index's distinct keys, and with fillBitmaps it inserts every
+// row into the table's bitmap indexes (the rebuild at open).
+func scanTable(tbl *catalog.Table, idxs []*catalog.Index, distinct []map[string]struct{}, fillBitmaps bool) error {
+	rows := 0
+	err := tbl.Heap.Scan(func(rid storage.RID, img []byte) (bool, error) {
+		row, _, err := types.DecodeRow(img)
+		if err != nil {
+			return false, err
+		}
+		rows++
+		for i, ix := range idxs {
+			if ix.Kind == catalog.DomainIndex {
+				continue
+			}
+			v := row[ix.ColPos]
+			ix.ObserveValue(v)
+			if distinct != nil {
+				distinct[i][string(types.EncodeKey(nil, v))] = struct{}{}
+			}
+			if fillBitmaps && ix.Kind == catalog.BitmapIndex {
+				ix.BM.Insert(types.EncodeKey(nil, v), uint64(rid.Int64()))
+			}
+		}
+		return true, nil
+	})
+	if err != nil {
+		return err
+	}
+	tbl.RowCount = rows
 	return nil
 }
 

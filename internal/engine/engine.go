@@ -41,24 +41,14 @@ type Options struct {
 	// without a WAL (there is no durable medium to recover from) unless a
 	// sink is injected.
 	WALSink storage.WALSink
-	// DisableWAL turns write-ahead logging off entirely, restoring the
-	// pre-WAL behaviour (durability only at Checkpoint/Close).
-	DisableWAL bool
 	// DisableWaitEvents turns wait-event recording off (the per-class
 	// table stays empty; StartWait sites still run but record nothing).
 	// Exists for overhead A/B measurement — production leaves it off.
 	DisableWaitEvents bool
-	// FlightRecorderSize overrides the flight-recorder ring capacity
-	// (rounded up to a power of two; default obs.DefaultFlightSize).
-	FlightRecorderSize int
 	// PagerShards is the buffer-pool shard count (pages are distributed
 	// by page-id hash; each shard has its own latch and clock hand).
 	// <= 0 means storage.DefaultPagerShards.
 	PagerShards int
-	// WALSegmentBytes is the payload capacity of one WAL segment when the
-	// engine opens the default file-backed segmented log (<= 0 means
-	// storage.DefaultWALSegmentBytes). Ignored when WALSink is injected.
-	WALSegmentBytes int64
 	// CheckpointWALBytes is the WAL-growth threshold that triggers the
 	// background checkpointer (<= 0 means DefaultCheckpointWALBytes).
 	CheckpointWALBytes int64
@@ -113,13 +103,10 @@ type DB struct {
 	//
 	//   - admission: an RWMutex taken shared by ordinary write
 	//     transactions (from their first write statement until they
-	//     finish) and exclusively by work whose uncommitted state rides
-	//     wholesale in every commit record's dictionary snapshot — DDL,
-	//     and DML on tables with bitmap or domain indexes (bitmap
-	//     content, LOB directories). An exclusive holder is the only
-	//     writer in flight, so its dictionary mutations can never leak
-	//     into another transaction's commit snapshot. Checkpoint
-	//     TryLocks it exclusively (ErrTxnOpen when writers are open).
+	//     finish) and exclusively by DDL and by DML on tables with bitmap
+	//     or domain indexes (see needsExclusiveAdmission). An exclusive
+	//     holder is the only writer in flight. Checkpoint TryLocks it
+	//     exclusively (ErrTxnOpen when writers are open).
 	//   - mutMu: the mutation window. Page content is mutated only while
 	//     holding it — write statement bodies, undo replay, and the
 	//     commit sweep (AppendUnloggedFor + commit-record append) — so a
@@ -162,13 +149,13 @@ type DB struct {
 	//vetx:lockorder storage.WAL.gmu < storage.SegmentedSink.mu
 	//vetx:lockorder storage.SegmentedSink.mu < storage.memSegMedium.mu
 	//vetx:lockorder storage.SegmentedSink.mu < storage.memSegSlot.mu
-	admission sync.RWMutex
-	admitMu   sync.Mutex         // guards admitted
-	admitted  map[*txn.Txn]bool  // open write txns → exclusive?
-	mutMu     sync.Mutex         // the mutation window
+	admission  sync.RWMutex
+	admitMu    sync.Mutex        // guards admitted
+	admitted   map[*txn.Txn]bool // open write txns → exclusive?
+	mutMu      sync.Mutex        // the mutation window
 	mutStateMu sync.Mutex        // guards mutOwner/mutDepth
-	mutOwner  int64              // txn holding the window (valid when mutDepth > 0)
-	mutDepth  int                // re-entry depth of the window
+	mutOwner   int64             // txn holding the window (valid when mutDepth > 0)
+	mutDepth   int               // re-entry depth of the window
 
 	// Observability aggregates (see metrics.go). planner counts costed
 	// plans and chosen path kinds; odci counts and times every callback
@@ -232,17 +219,16 @@ var ErrWALBroken = errors.New("engine: write-ahead log failed; reopen to recover
 var ErrTxnOpen = errors.New("engine: checkpoint refused: a write transaction is open")
 
 // admitTxn grants t write admission for its remaining lifetime: shared
-// for ordinary writes, exclusive when the transaction's uncommitted
-// state would otherwise leak into other transactions' commit snapshots
-// (DDL, bitmap-index or domain-index DML). The grant is released when
-// the transaction commits or rolls back — including the rollback a
-// failed commit sink triggers. A shared grant upgrades to exclusive by
-// releasing and re-acquiring; the gap is safe against other writers
-// because the transaction holds no other locks here and its page
-// changes stay protected by frame ownership, and safe against
-// checkpoints because the transaction stays in the admitted map for
-// the whole gap — Checkpoint refuses (ErrTxnOpen) whenever that map is
-// non-empty, even when its TryLock momentarily succeeds.
+// for ordinary writes, exclusive for DDL and for DML on bitmap- or
+// domain-indexed tables. The grant is released when the transaction
+// commits or rolls back — including the rollback a failed commit sink
+// triggers. A shared grant upgrades to exclusive by releasing and
+// re-acquiring; the gap is safe against other writers because the
+// transaction holds no other locks here and its page changes stay
+// protected by frame ownership, and safe against checkpoints because the
+// transaction stays in the admitted map for the whole gap — Checkpoint
+// refuses (ErrTxnOpen) whenever that map is non-empty, even when its
+// TryLock momentarily succeeds.
 func (db *DB) admitTxn(t *txn.Txn, exclusive bool) {
 	if db.wal == nil || t == nil {
 		return
@@ -316,11 +302,13 @@ func (db *DB) admitRelease(exclusive bool) {
 }
 
 // needsExclusiveAdmission reports whether a write to the named tables
-// must exclude concurrent committers: bitmap-index content and whatever
-// domain-index cartridges keep outside the page space (LOB directories,
-// dictionary-resident state) ride wholesale in every commit record's
-// snapshot, so uncommitted changes to them must not be in flight while
-// another transaction logs a snapshot.
+// takes exclusive admission: the tables carry a bitmap or domain index.
+// Their maintenance is undone logically, not by page ownership — a
+// bitmap index is in-memory state, and a cartridge's undo (truncating a
+// LOB back to its old length, say) assumes no other open transaction
+// appended in between — so these writers run one at a time. None of
+// their uncommitted state can reach another transaction's commit record,
+// which carries only a transaction id.
 func (db *DB) needsExclusiveAdmission(tables []string) bool {
 	for _, tn := range tables {
 		for _, ix := range db.cat.TableIndexes(sql.Norm(tn)) {
@@ -395,6 +383,8 @@ func (db *DB) ResetFetchCalls() { db.odci.ResetCallback(obs.CbFetch) }
 // replays the log — applying every committed transaction's page images
 // to the backend and discarding uncommitted ones — then checkpoints and
 // truncates the log, so a crash during recovery simply replays again.
+// The dictionary is then read from its page chain, and the derived state
+// (row counts, numeric ranges, bitmap indexes) rebuilt from the heaps.
 func Open(opts Options) (*DB, error) {
 	backend := opts.Backend
 	if backend == nil {
@@ -409,18 +399,15 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	sink := opts.WALSink
-	if sink == nil && !opts.DisableWAL && opts.Path != "" && opts.Backend == nil {
+	if sink == nil && opts.Path != "" && opts.Backend == nil {
 		// The default file log is a directory of fixed-size recycled
 		// segments; a checkpoint retires segments back into the pool
 		// instead of growing one append-only file.
-		fs, err := storage.OpenFileSegmentedSink(opts.Path+".wal", opts.WALSegmentBytes)
+		fs, err := storage.OpenFileSegmentedSink(opts.Path+".wal", 0)
 		if err != nil {
 			return nil, err
 		}
 		sink = fs
-	}
-	if opts.DisableWAL {
-		sink = nil
 	}
 	var recovery storage.RecoveryInfo
 	if sink != nil {
@@ -456,7 +443,7 @@ func Open(opts Options) (*DB, error) {
 	// idle cost is one pointer's worth of state per DB). All of this
 	// happens before any session exists, so the plain-field stores are
 	// safe.
-	db.flight = obs.NewFlightRecorder(opts.FlightRecorderSize)
+	db.flight = obs.NewFlightRecorder(obs.DefaultFlightSize)
 	db.waits.SetDisabled(opts.DisableWaitEvents)
 	db.waits.SetSlowWaitThreshold(slowWaitThreshold)
 	db.waits.AttachFlight(db.flight)
@@ -476,13 +463,7 @@ func Open(opts Options) (*DB, error) {
 		if err := db.initSuperblock(); err != nil {
 			return nil, err
 		}
-	} else if recovery.Snapshot != nil {
-		// The newest committed dictionary snapshot rides in the WAL commit
-		// record and supersedes the (possibly stale) page-0 snapshot chain.
-		if err := db.applySnapshotBytes(recovery.Snapshot); err != nil {
-			return nil, err
-		}
-	} else if err := db.loadSnapshot(); err != nil {
+	} else if err := db.loadDictionary(); err != nil {
 		return nil, err
 	}
 	if db.wal != nil {
@@ -519,13 +500,13 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close checkpoints (snapshot + flush + WAL truncation) and closes the
-// database. Close attempts every cleanup step even when an earlier one
-// fails, folding the errors together. When the checkpoint is refused or
-// fails under a WAL (open write transaction, broken or partially
-// flushed log), the buffer pool is discarded instead of flushed —
-// flushing could push uncommitted or unlogged pages to the page file —
-// and the next Open recovers committed state from the log.
+// Close checkpoints (flush + WAL truncation) and closes the database.
+// Close attempts every cleanup step even when an earlier one fails,
+// folding the errors together. When the checkpoint is refused or fails
+// under a WAL (open write transaction, broken or partially flushed log),
+// the buffer pool is discarded instead of flushed — flushing could push
+// uncommitted or unlogged pages to the page file — and the next Open
+// recovers committed state from the log.
 func (db *DB) Close() error {
 	// Drain the background checkpointer first: a checkpoint of its own in
 	// flight holds admission, which would make the foreground checkpoint
@@ -550,16 +531,14 @@ func (db *DB) Close() error {
 
 // logCommit is the transaction manager's commit sink: it appends the
 // image of every page in the committing transaction's write set, then a
-// commit record carrying the dictionary snapshot — both inside the
-// mutation window and under the short WAL append mutex — and then makes
-// the log durable through the WAL's shared-fsync protocol, outside both
-// locks. Only after it returns nil is the commit acknowledged. A
-// transaction that dirtied no pages skips the log entirely — unless it
-// is forceDurable (DDL changes only the dictionary, which rides in the
-// commit record).
-func (db *DB) logCommit(txID int64, forceDurable bool) error {
+// commit record carrying the transaction id — both inside the mutation
+// window and under the short WAL append mutex — and then makes the log
+// durable through the WAL's shared-fsync protocol, outside both locks.
+// Only after it returns nil is the commit acknowledged. A transaction
+// that dirtied no pages has nothing to make durable and skips the log.
+func (db *DB) logCommit(txID int64) error {
 	exit := db.enterMutation(txID, false)
-	target, err := db.appendCommitBatch(txID, forceDurable)
+	target, err := db.appendCommitBatch(txID)
 	exit()
 	if err != nil || target == 0 {
 		return err
@@ -585,7 +564,7 @@ func (db *DB) logCommit(txID int64, forceDurable bool) error {
 // record under walMu (the short append mutex concurrent committers
 // serialize on) and returns the log length to sync up to — 0 when the
 // transaction has nothing to log.
-func (db *DB) appendCommitBatch(txID int64, forceDurable bool) (int64, error) {
+func (db *DB) appendCommitBatch(txID int64) (int64, error) {
 	aw := db.waits.StartWait(obs.WaitWALAppend)
 	db.walMu.Lock()
 	aw.Done()
@@ -597,14 +576,10 @@ func (db *DB) appendCommitBatch(txID int64, forceDurable bool) (int64, error) {
 	if err != nil {
 		return 0, db.failWAL(err)
 	}
-	if n == 0 && !forceDurable {
+	if n == 0 {
 		return 0, nil
 	}
-	snap, err := db.snapshotBytes()
-	if err != nil {
-		return 0, db.failWAL(err)
-	}
-	if err := db.wal.AppendCommit(txID, snap); err != nil {
+	if err := db.wal.AppendCommit(txID); err != nil {
 		return 0, db.failWAL(err)
 	}
 	return db.wal.LogSize(), nil
@@ -722,9 +697,9 @@ func (db *DB) TxnEvents() *txn.Manager { return db.txns }
 // Workspace exposes the scan-context workspace (tests check for leaks).
 func (db *DB) Workspace() *extidx.Workspace { return db.ws }
 
-// Checkpoint snapshots the dictionary, flushes all dirty pages to the
-// backend (making the on-disk image reopenable), and — once the page
-// file is durably in sync — truncates the WAL, which the flush just made
+// Checkpoint logs every orphan frame, flushes all dirty pages to the
+// backend (making the on-disk image reopenable), and — once the page file
+// is durably in sync — truncates the WAL, which the flush just made
 // redundant. Checkpoint must not run while a write transaction is open:
 // the flush writes every dirty page, and under redo-only logging an
 // uncommitted page on disk would have no undo to remove it. That rule is
@@ -740,7 +715,7 @@ func (db *DB) Workspace() *extidx.Workspace { return db.ws }
 // go), so the owner-0 sweep below covers everything dirty.
 func (db *DB) Checkpoint() error {
 	if db.wal == nil {
-		return db.SaveSnapshot()
+		return db.pager.FlushAll()
 	}
 	if !db.admission.TryLock() {
 		db.noteCheckpointBlocked()
@@ -760,16 +735,10 @@ func (db *DB) Checkpoint() error {
 			panic(fmt.Sprintf("engine: checkpoint with admission held found owned frames %v", owned))
 		}
 	}
-	exit := db.enterMutation(0, false)
-	err := db.writeSnapshotChain()
-	exit()
-	if err != nil {
-		return err
-	}
-	// Log the chain pages (and every orphan still unlogged) with a
+	// Log every orphan (committed content not yet in the log) with a
 	// commit record before the flush: a crash that tears the page file
-	// mid-flush is then repaired by replay, chain included.
-	if err := db.logCommit(0, true); err != nil {
+	// mid-flush is then repaired by replay.
+	if err := db.logCommit(0); err != nil {
 		return err
 	}
 	if err := db.pager.FlushAll(); err != nil {

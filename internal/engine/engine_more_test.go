@@ -161,6 +161,39 @@ func TestTxLOBUndo(t *testing.T) {
 	if _, err := db.LOBStore().Open(tmpID); err == nil {
 		t.Error("LOB created in rolled-back txn survived")
 	}
+	// A delete rolled back leaves the LOB openable with its content; a
+	// committed delete retires the locator.
+	for _, commit := range []bool{false, true} {
+		s.Begin()
+		srv = s.server(extidx.ModeDefinition, "")
+		if err := srv.LOBs().Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.LOBStore().Open(id); err == nil {
+			t.Error("LOB deleted in an open txn still opens")
+		}
+		if commit {
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.LOBStore().Open(id); err == nil {
+				t.Error("LOB deleted in a committed txn still opens")
+			}
+			continue
+		}
+		s.Rollback()
+		raw, err := db.LOBStore().Open(id)
+		if err != nil {
+			t.Fatalf("LOB deleted in a rolled-back txn: %v", err)
+		}
+		got := make([]byte, 9)
+		if _, err := raw.ReadAt(got, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if string(got) != "committed" {
+			t.Errorf("LOB after rolled-back delete = %q", got)
+		}
+	}
 }
 
 func TestRowidAccessPath(t *testing.T) {

@@ -187,10 +187,10 @@ func TestExplainAnalyze(t *testing.T) {
 	for _, want := range []string{
 		"SELECT STATEMENT",
 		"DOMAIN INDEX DOCKWIDX",
-		"est=",        // estimated rows present on the scan node
-		"rows=2",      // actual rows measured
-		"batch=",      // chosen Fetch batch size on the scan operator
-		"batches=",    // non-empty chunks the scan produced
+		"est=",     // estimated rows present on the scan node
+		"rows=2",   // actual rows measured
+		"batch=",   // chosen Fetch batch size on the scan operator
+		"batches=", // non-empty chunks the scan produced
 		"CANDIDATE ACCESS PATHS:",
 		"rows returned: 2",
 		"pager: fetches=",

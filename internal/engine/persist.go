@@ -10,24 +10,34 @@ import (
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/hashidx"
-	"repro/internal/loblib"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
-// Database persistence: page 0 is the superblock pointing at a chain of
-// snapshot pages holding a gob-encoded image of the data dictionary (and
-// the LOB directory). Heaps, B-trees, hash indexes and LOBs live in
-// ordinary pages and only need their root/head references persisted;
-// bitmap indexes are serialized wholesale into the snapshot.
+// Database persistence. Every piece of state has exactly one durable
+// home, and that home is a page:
 //
-// A snapshot is written on Checkpoint and Close; Open of a non-empty file
-// loads it and reattaches every storage structure. Go-registered pieces
-// (functions, IndexMethods) are process state: cartridges must be
-// re-registered after reopen, exactly like loading a cartridge library
-// at instance startup. Indextypes that keep state outside the database
-// (the external R-tree) must be rebuilt, which is precisely the paper's
-// §5 caveat about external index stores.
+//   - Heaps, B-trees, hash indexes and LOBs are ordinary pages (a LOB's
+//     directory is its header page, see loblib).
+//   - DDL state — tables, columns, indexes with their root page ids and
+//     DistinctKeys statistic, operators, indextypes and object types — is
+//     a gob-encoded dictionary image in a chain of pages hanging off the
+//     superblock (page 0). Every DDL statement writes a fresh chain inside
+//     its own transaction (writeDictionary), so the commit's ordinary
+//     page-image sweep logs it, and a rollback points the superblock back
+//     at the previous chain.
+//   - Derived state — row counts, the numeric ranges of built-in indexes
+//     and bitmap-index content — has no durable copy at all: Open rebuilds
+//     it with one pass over each table's heap (rebuildDerived).
+//
+// A WAL commit record is therefore just a transaction id, and a
+// checkpoint only flushes pages. Go-registered pieces (functions,
+// IndexMethods) are process state: cartridges must be re-registered after
+// reopen, exactly like loading a cartridge library at instance startup.
+// Indextypes that keep state outside the database (the external R-tree)
+// must be rebuilt, which is precisely the paper's §5 caveat about
+// external index stores.
 
 var superMagic = [8]byte{'E', 'X', 'D', 'B', 'S', 'N', 'A', 'P'}
 
@@ -47,7 +57,6 @@ type snapTable struct {
 	Name     string
 	Cols     []snapColumn
 	HeapHead storage.PageID
-	RowCount int
 	Hidden   bool
 }
 
@@ -61,13 +70,9 @@ type snapIndex struct {
 	IndexType    string
 	Params       string
 	DistinctKeys int
-	HasRange     bool
-	MinVal       float64
-	MaxVal       float64
 
 	BTreeMeta storage.PageID
 	HashDir   storage.PageID
-	Bitmap    map[string][]byte // encoded value key -> serialized bitmap
 }
 
 type snapBinding struct {
@@ -106,7 +111,6 @@ type snapshot struct {
 	Operators  []snapOperator
 	IndexTypes []snapIndexType
 	TypeDescs  []snapTypeDesc
-	LOBs       []loblib.DirEntry
 }
 
 // initSuperblock formats page 0 of a fresh database.
@@ -125,116 +129,105 @@ func (db *DB) initSuperblock() error {
 	return nil
 }
 
-// snapshotBytes gob-encodes the current dictionary snapshot. The WAL
-// commit protocol embeds it in every commit record so recovery restores
-// volatile dictionary state (row counts, bitmap indexes, the LOB
-// directory, committed DDL) without needing a checkpoint.
-func (db *DB) snapshotBytes() ([]byte, error) {
+// writeDictionary stores the current dictionary in a fresh page chain and
+// points the superblock at it, as part of transaction t (the DDL that
+// changed the dictionary). The new pages and the superblock are t's dirty
+// pages, so t's commit logs them. The previous chain stays intact until t
+// commits: rolling back points the superblock at it again and frees the
+// new chain.
+func (db *DB) writeDictionary(t *txn.Txn) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(db.buildSnapshot()); err != nil {
-		return nil, fmt.Errorf("engine: encode snapshot: %w", err)
+		return fmt.Errorf("engine: encode dictionary: %w", err)
 	}
-	return buf.Bytes(), nil
-}
-
-// applySnapshotBytes decodes and applies a gob snapshot (the WAL
-// recovery path; the page-0 chain path is loadSnapshot).
-func (db *DB) applySnapshotBytes(data []byte) error {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("engine: decode snapshot: %w", err)
-	}
-	return db.applySnapshot(snap)
-}
-
-// SaveSnapshot serializes the dictionary into the snapshot chain and
-// flushes all dirty pages.
-func (db *DB) SaveSnapshot() error {
-	if err := db.writeSnapshotChain(); err != nil {
-		return err
-	}
-	return db.pager.FlushAll()
-}
-
-// writeSnapshotChain serializes the dictionary into the page-0 snapshot
-// chain, leaving the chain pages dirty in the buffer pool (the caller
-// decides when they hit the backend: directly via FlushAll, or logged
-// first by the WAL checkpoint protocol).
-func (db *DB) writeSnapshotChain() error {
-	data, err := db.snapshotBytes()
+	head, pages, err := db.writeChain(buf.Bytes())
 	if err != nil {
 		return err
 	}
+	old, err := db.setDictionaryHead(head)
+	if err != nil {
+		db.freePages(pages)
+		return err
+	}
+	t.Record(txn.UndoFunc(func() error {
+		_, err := db.setDictionaryHead(old)
+		db.freePages(pages)
+		return err
+	}))
+	_, oldPages, err := db.readChain(old)
+	if err != nil {
+		return err // the DDL rolls back, restoring the old head
+	}
+	t.OnCommit(func() { db.freePages(oldPages) })
+	return nil
+}
 
-	// Free the previous chain.
+// setDictionaryHead points the superblock at a new chain head and returns
+// the previous one.
+func (db *DB) setDictionaryHead(head storage.PageID) (storage.PageID, error) {
 	pg, err := db.pager.Fetch(0)
 	if err != nil {
-		return err
+		return storage.InvalidPage, err
 	}
 	old := storage.PageID(binary.BigEndian.Uint32(pg.Data[8:12]))
-	db.pager.Unpin(pg, false)
-	for id := old; id != storage.InvalidPage; {
-		cp, err := db.pager.Fetch(id)
-		if err != nil {
-			return err
-		}
-		next := storage.PageID(binary.BigEndian.Uint32(cp.Data[0:4]))
-		db.pager.Unpin(cp, false)
-		db.pager.Free(id)
-		id = next
-	}
-
-	// Write the new chain. Each page is unpinned within its own loop
-	// iteration (the back-link is patched through a re-fetch, which hits
-	// the buffer cache) so an allocation failure part-way through cannot
-	// leak a pinned frame.
-	head := storage.InvalidPage
-	prev := storage.InvalidPage
-	for off := 0; off < len(data) || off == 0; off += snapPayload {
-		npg, err := db.pager.NewPage()
-		if err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint32(npg.Data[0:4], uint32(storage.InvalidPage))
-		n := len(data) - off
-		if n > snapPayload {
-			n = snapPayload
-		}
-		binary.BigEndian.PutUint16(npg.Data[4:6], uint16(n))
-		copy(npg.Data[snapPageHeader:], data[off:off+n])
-		id := npg.ID
-		db.pager.Unpin(npg, true)
-		if prev != storage.InvalidPage {
-			ppg, err := db.pager.Fetch(prev)
-			if err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint32(ppg.Data[0:4], uint32(id))
-			db.pager.Unpin(ppg, true)
-		} else {
-			head = id
-		}
-		prev = id
-		if n < snapPayload {
-			break
-		}
-	}
-	pg, err = db.pager.Fetch(0)
-	if err != nil {
-		return err
-	}
 	binary.BigEndian.PutUint32(pg.Data[8:12], uint32(head))
 	db.pager.Unpin(pg, true)
-	return nil
+	return old, nil
+}
+
+// writeChain stores data in a chain of fresh pages and returns its head
+// and its pages. Pages are filled back to front, so each one's successor
+// is known when it is written; an empty image still gets one page.
+func (db *DB) writeChain(data []byte) (storage.PageID, []storage.PageID, error) {
+	var pages []storage.PageID
+	next := storage.InvalidPage
+	for start := (len(data) - 1) / snapPayload * snapPayload; ; start -= snapPayload {
+		end := min(start+snapPayload, len(data))
+		pg, err := db.pager.NewPage()
+		if err != nil {
+			db.freePages(pages)
+			return storage.InvalidPage, nil, err
+		}
+		binary.BigEndian.PutUint32(pg.Data[0:4], uint32(next))
+		binary.BigEndian.PutUint16(pg.Data[4:6], uint16(end-start))
+		copy(pg.Data[snapPageHeader:], data[start:end])
+		db.pager.Unpin(pg, true)
+		pages = append(pages, pg.ID)
+		next = pg.ID
+		if start == 0 {
+			return next, pages, nil
+		}
+	}
+}
+
+// readChain returns the bytes stored in the chain at head and its pages.
+func (db *DB) readChain(head storage.PageID) ([]byte, []storage.PageID, error) {
+	var data []byte
+	var pages []storage.PageID
+	for id := head; id != storage.InvalidPage; {
+		pg, err := db.pager.Fetch(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		n := int(binary.BigEndian.Uint16(pg.Data[4:6]))
+		data = append(data, pg.Data[snapPageHeader:snapPageHeader+n]...)
+		pages = append(pages, id)
+		id = storage.PageID(binary.BigEndian.Uint32(pg.Data[0:4]))
+		db.pager.Unpin(pg, false)
+	}
+	return data, pages, nil
+}
+
+func (db *DB) freePages(pages []storage.PageID) {
+	for _, id := range pages {
+		db.pager.Free(id)
+	}
 }
 
 func (db *DB) buildSnapshot() snapshot {
 	var snap snapshot
 	for _, t := range db.cat.Tables() {
-		st := snapTable{
-			Name: t.Name, HeapHead: t.Heap.FirstPage(),
-			RowCount: t.RowCount, Hidden: t.Hidden,
-		}
+		st := snapTable{Name: t.Name, HeapHead: t.Heap.FirstPage(), Hidden: t.Hidden}
 		for _, c := range t.Cols {
 			st.Cols = append(st.Cols, snapColumn{Name: c.Name, Kind: uint8(c.Kind), TypeName: c.TypeName})
 		}
@@ -244,7 +237,6 @@ func (db *DB) buildSnapshot() snapshot {
 				Name: ix.Name, Table: ix.Table, Column: ix.Column, ColPos: ix.ColPos,
 				Kind: int(ix.Kind), Unique: ix.Unique, IndexType: ix.IndexType,
 				Params: ix.Params, DistinctKeys: ix.DistinctKeys,
-				HasRange: ix.HasRange, MinVal: ix.MinVal, MaxVal: ix.MaxVal,
 				BTreeMeta: storage.InvalidPage, HashDir: storage.InvalidPage,
 			}
 			switch ix.Kind {
@@ -252,8 +244,6 @@ func (db *DB) buildSnapshot() snapshot {
 				si.BTreeMeta = ix.BT.MetaPage()
 			case catalog.HashIndex:
 				si.HashDir = ix.HX.DirPage()
-			case catalog.BitmapIndex:
-				si.Bitmap = serializeBitmapIndex(ix.BM)
 			}
 			snap.Indexes = append(snap.Indexes, si)
 		}
@@ -290,12 +280,12 @@ func (db *DB) buildSnapshot() snapshot {
 		}
 		snap.TypeDescs = append(snap.TypeDescs, std)
 	}
-	snap.LOBs = db.lobs.Snapshot()
 	return snap
 }
 
-// loadSnapshot reads the snapshot chain and rebuilds the dictionary.
-func (db *DB) loadSnapshot() error {
+// loadDictionary reads the dictionary chain, rebuilds the catalog from it
+// and then rebuilds the derived state.
+func (db *DB) loadDictionary() error {
 	pg, err := db.pager.Fetch(0)
 	if err != nil {
 		return err
@@ -309,19 +299,30 @@ func (db *DB) loadSnapshot() error {
 	if head == storage.InvalidPage {
 		return nil // empty database
 	}
-	var data []byte
-	for id := head; id != storage.InvalidPage; {
-		cp, err := db.pager.Fetch(id)
-		if err != nil {
-			return err
-		}
-		next := storage.PageID(binary.BigEndian.Uint32(cp.Data[0:4]))
-		n := int(binary.BigEndian.Uint16(cp.Data[4:6]))
-		data = append(data, cp.Data[snapPageHeader:snapPageHeader+n]...)
-		db.pager.Unpin(cp, false)
-		id = next
+	data, _, err := db.readChain(head)
+	if err != nil {
+		return err
 	}
-	return db.applySnapshotBytes(data)
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return fmt.Errorf("engine: decode dictionary: %w", err)
+	}
+	if err := db.applySnapshot(snap); err != nil {
+		return err
+	}
+	return db.rebuildDerived()
+}
+
+// rebuildDerived recomputes the state that has no durable copy — row
+// counts, built-in indexes' numeric ranges and bitmap-index content —
+// with one pass over each table's heap.
+func (db *DB) rebuildDerived() error {
+	for _, t := range db.cat.Tables() {
+		if err := scanTable(t, db.cat.TableIndexes(t.Name), nil, true); err != nil {
+			return fmt.Errorf("engine: rebuild derived state of %s: %w", t.Name, err)
+		}
+	}
+	return nil
 }
 
 func (db *DB) applySnapshot(snap snapshot) error {
@@ -330,7 +331,7 @@ func (db *DB) applySnapshot(snap snapshot) error {
 		if err != nil {
 			return fmt.Errorf("engine: reopen heap of %s: %w", st.Name, err)
 		}
-		t := &catalog.Table{Name: st.Name, Heap: heap, RowCount: st.RowCount, Hidden: st.Hidden}
+		t := &catalog.Table{Name: st.Name, Heap: heap, Hidden: st.Hidden}
 		for _, c := range st.Cols {
 			t.Cols = append(t.Cols, catalog.Column{Name: c.Name, Kind: types.Kind(c.Kind), TypeName: c.TypeName})
 		}
@@ -378,7 +379,6 @@ func (db *DB) applySnapshot(snap snapshot) error {
 			Name: si.Name, Table: si.Table, Column: si.Column, ColPos: si.ColPos,
 			Kind: catalog.IndexKind(si.Kind), Unique: si.Unique,
 			IndexType: si.IndexType, Params: si.Params, DistinctKeys: si.DistinctKeys,
-			HasRange: si.HasRange, MinVal: si.MinVal, MaxVal: si.MaxVal,
 		}
 		var err error
 		switch ix.Kind {
@@ -387,7 +387,7 @@ func (db *DB) applySnapshot(snap snapshot) error {
 		case catalog.HashIndex:
 			ix.HX, err = hashidx.Open(db.pager, si.HashDir)
 		case catalog.BitmapIndex:
-			ix.BM, err = deserializeBitmapIndex(si.Bitmap)
+			ix.BM = bitmapidx.NewIndex()
 		}
 		if err != nil {
 			return fmt.Errorf("engine: reopen index %s: %w", si.Name, err)
@@ -396,29 +396,5 @@ func (db *DB) applySnapshot(snap snapshot) error {
 			return err
 		}
 	}
-	db.lobs.Restore(snap.LOBs)
 	return nil
-}
-
-func serializeBitmapIndex(x *bitmapidx.Index) map[string][]byte {
-	out := make(map[string][]byte)
-	x.Each(func(key []byte, bm *bitmapidx.Bitmap) {
-		out[string(key)] = bm.Serialize()
-	})
-	return out
-}
-
-func deserializeBitmapIndex(m map[string][]byte) (*bitmapidx.Index, error) {
-	x := bitmapidx.NewIndex()
-	for key, enc := range m {
-		bm, err := bitmapidx.Deserialize(enc)
-		if err != nil {
-			return nil, err
-		}
-		bm.Each(func(pos uint64) bool {
-			x.Insert([]byte(key), pos)
-			return true
-		})
-	}
-	return x, nil
 }

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/extidx"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -159,4 +163,119 @@ func TestCheckpointMakesImageReopenable(t *testing.T) {
 // writeFile is a test helper.
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// dictionaryHead reads the superblock's pointer to the dictionary chain.
+func dictionaryHead(t *testing.T, db *DB) storage.PageID {
+	t.Helper()
+	pg, err := db.pager.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.pager.Unpin(pg, false)
+	return storage.PageID(binary.BigEndian.Uint32(pg.Data[8:12]))
+}
+
+// failingCreate is an index implementation whose ODCIIndexCreate builds
+// its data table through callback DDL — each of which writes the
+// dictionary chain — and then fails.
+type failingCreate struct{ *kwMethods }
+
+func (m failingCreate) Create(s extidx.Server, info extidx.IndexInfo) error {
+	if err := m.kwMethods.Create(s, info); err != nil {
+		return err
+	}
+	return fmt.Errorf("kw: injected create failure")
+}
+
+// TestFailedDDLKeepsPreviousDictionary rolls back a DDL after its nested
+// callback DDL wrote new dictionary chains: the superblock must point at
+// the pre-DDL chain again, and a reopen must see the pre-DDL dictionary.
+func TestFailedDDLKeepsPreviousDictionary(t *testing.T) {
+	backend, sink := storage.NewMemBackend(), storage.NewMemWALSink()
+	db, err := Open(Options{Backend: backend, WALSink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &kwMethods{failNext: map[string]bool{}}
+	s := setupKwCartridge(t, db, m)
+	if err := db.Registry().RegisterMethods("FailingKwMethods", failingCreate{m}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, `CREATE INDEXTYPE FailingKwType FOR HasKw(VARCHAR2, VARCHAR2) USING FailingKwMethods`)
+	before := dictionaryHead(t, db)
+	if _, err := s.Exec(`CREATE INDEX DocKwIdx ON Docs(body) INDEXTYPE IS FailingKwType`); err == nil {
+		t.Fatal("CREATE INDEX with a failing ODCIIndexCreate succeeded")
+	}
+	if after := dictionaryHead(t, db); after != before {
+		t.Fatalf("dictionary head after rollback = %d, want the pre-DDL %d", after, before)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(Options{Backend: backend, WALSink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if _, ok := db2.Catalog().Index("DocKwIdx"); ok {
+		t.Error("index of the rolled-back DDL survived reopen")
+	}
+	for _, tbl := range db2.Catalog().Tables() {
+		if strings.HasPrefix(tbl.Name, "DR$") {
+			t.Errorf("data table %s of the rolled-back DDL survived reopen", tbl.Name)
+		}
+	}
+	if _, ok := db2.Catalog().IndexType("FailingKwType"); !ok {
+		t.Error("indextype committed before the failed DDL is missing after reopen")
+	}
+	rs := mustQuery(t, db2.NewSession(), `SELECT COUNT(*) FROM Docs`)
+	if rs.Rows[0][0].Int64() != 205 {
+		t.Errorf("Docs rows after reopen = %s, want 205", rs.Rows[0][0])
+	}
+}
+
+// TestCommitSizeIndependentOfDictionary logs a one-row autocommit insert
+// into the same small table of two databases, one holding nothing else
+// and one holding 200 more tables and a 50,000-row bitmap index: the
+// commit record is a transaction id, so the WAL bytes must agree to
+// within one page image.
+func TestCommitSizeIndependentOfDictionary(t *testing.T) {
+	commitBytes := func(big bool) int64 {
+		db, err := Open(Options{WALSink: storage.NewMemWALSink(), DisableBackgroundCheckpointer: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		s := db.NewSession()
+		mustExec(t, s, `CREATE TABLE target(k NUMBER, v VARCHAR2)`)
+		if big {
+			for i := 0; i < 199; i++ {
+				mustExec(t, s, fmt.Sprintf(`CREATE TABLE filler%d(a NUMBER, b VARCHAR2, c NUMBER)`, i))
+			}
+			mustExec(t, s, `CREATE TABLE big(k NUMBER, grp NUMBER)`)
+			for base := 0; base < 50000; base += 1000 {
+				var sb strings.Builder
+				sb.WriteString(`INSERT INTO big VALUES `)
+				for i := base; i < base+1000; i++ {
+					if i > base {
+						sb.WriteString(", ")
+					}
+					fmt.Fprintf(&sb, "(%d, %d)", i, i%16)
+				}
+				mustExec(t, s, sb.String())
+			}
+			mustExec(t, s, `CREATE BITMAP INDEX big_grp ON big(grp)`)
+		}
+		mustExec(t, s, `INSERT INTO target VALUES (0, 'first row allocates the heap page')`)
+		before := db.PagerStats().WALBytes
+		mustExec(t, s, `INSERT INTO target VALUES (1, 'measured')`)
+		return db.PagerStats().WALBytes - before
+	}
+	small, large := commitBytes(false), commitBytes(true)
+	t.Logf("one-row commit: %d WAL bytes (small dictionary), %d (large dictionary)", small, large)
+	if d := large - small; d < -storage.PageSize || d > storage.PageSize {
+		t.Fatalf("one-row commit logs %d bytes with a large dictionary vs %d with a small one; want equal within one page image", large, small)
+	}
 }

@@ -160,9 +160,8 @@ func (s *Session) begin() (*txn.Txn, func(err error) error) {
 //
 // Ordinary DML admits shared — that is the whole point of group commit:
 // many writers in flight, one fsync. DML on a table with a bitmap or
-// domain index admits exclusive, because those maintenance paths mutate
-// dictionary state that rides in every committer's snapshot (see
-// needsExclusiveAdmission).
+// domain index admits exclusive, because those maintenance paths are
+// undone logically (see needsExclusiveAdmission).
 func (s *Session) admitWrite(tables ...string) func() {
 	db := s.db
 	if db.wal == nil || s.isCallback {

@@ -41,18 +41,26 @@ func (t txLOBStore) Open(id int64) (loblib.Blob, error) {
 	return txBlob{store: t, inner: b}, nil
 }
 
-// Delete implements loblib.Store. Deleting a LOB inside a transaction is
-// irreversible at this layer, so it is deferred to commit: the LOB
-// remains readable until the transaction resolves.
+// Delete implements loblib.Store. Inside a transaction the LOB is first
+// emptied through the undo-logging handle, then its locator is retired
+// with an undo that revives it; rolling back therefore revives the
+// locator and rewrites the content, in that order.
 func (t txLOBStore) Delete(id int64) error {
-	if t.s.tx != nil && t.s.tx.State() == txn.Active {
-		t.s.tx.OnCommit(func() {
-			//vetx:ignore erraudit -- commit hooks have no error channel; deferred LOB removal is best-effort GC
-			t.s.db.lobs.Delete(id)
-		})
-		return nil
+	if t.s.tx == nil || t.s.tx.State() != txn.Active {
+		return t.s.db.lobs.Delete(id)
 	}
-	return t.s.db.lobs.Delete(id)
+	b, err := t.Open(id)
+	if err != nil {
+		return err
+	}
+	if err := b.Truncate(0); err != nil {
+		return err
+	}
+	if err := t.s.db.lobs.Delete(id); err != nil {
+		return err
+	}
+	t.record(txn.UndoFunc(func() error { return t.s.db.lobs.Undelete(id) }))
+	return nil
 }
 
 // Stats implements loblib.Store.

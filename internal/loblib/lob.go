@@ -13,6 +13,7 @@
 package loblib
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -58,66 +59,105 @@ type Store interface {
 // ---------------------------------------------------------------------------
 // LOBStore: pager-backed LOBs.
 
-type lobEntry struct {
-	pages  []storage.PageID
-	length int64
+// A LOB's locator is the id of its header page. The header holds the byte
+// length and the list of data pages (one chunk per page); a list longer
+// than the header's slots continues in a chain of overflow pages. The LOB
+// directory is therefore ordinary database pages, logged at commit and
+// replayed at recovery like any other page, with no in-memory copy.
+//
+//	header page:   magic (4) | length (8) | page count (4) | first overflow (4) | page ids
+//	overflow page: next overflow (4) | page ids
+const (
+	lobMagic    = 0x4C4F4248 // "LOBH"
+	lobHdrSlots = 20         // offset of the header's page ids
+	lobHdrCap   = (storage.PageSize - lobHdrSlots) / 4
+	lobOvfSlots = 4 // offset of an overflow page's page ids
+	lobOvfCap   = (storage.PageSize - lobOvfSlots) / 4
+)
+
+// lobDir is one LOB's decoded directory.
+type lobDir struct {
+	length   int64
+	pages    []storage.PageID
+	overflow []storage.PageID // chain holding pages[lobHdrCap:]
 }
 
 // LOBStore keeps LOBs in database pages, one chunk per page. All LOB data
 // flows through the shared buffer pool, so it participates in the
 // engine's caching and deferred write-back exactly as the paper describes.
 type LOBStore struct {
-	mu     sync.Mutex
-	pager  *storage.Pager
-	lobs   map[int64]*lobEntry
-	nextID int64
-	stats  Stats
-	locks  *RangeLockTable
+	mu    sync.Mutex
+	pager *storage.Pager
+	stats Stats
+	locks *RangeLockTable
 }
 
-// NewLOBStore returns an empty LOB store over the pager.
+// NewLOBStore returns a LOB store over the pager.
 func NewLOBStore(p *storage.Pager) *LOBStore {
-	return &LOBStore{
-		pager:  p,
-		lobs:   make(map[int64]*lobEntry),
-		nextID: 1,
-		locks:  NewRangeLockTable(),
-	}
+	return &LOBStore{pager: p, locks: NewRangeLockTable()}
 }
 
-// Create allocates an empty LOB and returns its locator id.
+// Create allocates an empty LOB and returns its locator.
 func (s *LOBStore) Create() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := s.nextID
-	s.nextID++
-	s.lobs[id] = &lobEntry{}
-	return id, nil
+	pg, err := s.pager.NewPage()
+	if err != nil {
+		return 0, err
+	}
+	putEmptyHeader(pg.Data)
+	s.pager.Unpin(pg, true)
+	return int64(pg.ID), nil
 }
 
 // Open returns a handle on the LOB with the given locator.
 func (s *LOBStore) Open(id int64) (Blob, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.lobs[id]
-	if !ok {
-		return nil, fmt.Errorf("loblib: no LOB with locator %d", id)
+	if _, err := s.load(id); err != nil {
+		return nil, err
 	}
-	return &lobHandle{store: s, entry: e}, nil
+	return &lobHandle{store: s, id: id}, nil
 }
 
-// Delete frees the LOB's pages and its locator.
+// Delete frees the LOB's data and overflow pages and retires its locator.
+// The header page is cleared but stays allocated: a freed page's frame is
+// dropped unwritten, which could leave the old header readable in the
+// page file, and a retired header is never handed to another LOB.
 func (s *LOBStore) Delete(id int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.lobs[id]
-	if !ok {
-		return fmt.Errorf("loblib: no LOB with locator %d", id)
+	d, err := s.load(id)
+	if err != nil {
+		return err
 	}
-	for _, pg := range e.pages {
+	for _, pg := range append(d.pages, d.overflow...) {
 		s.pager.Free(pg)
 	}
-	delete(s.lobs, id)
+	pg, err := s.pager.Fetch(storage.PageID(id))
+	if err != nil {
+		return err
+	}
+	clear(pg.Data[:lobHdrSlots])
+	s.pager.Unpin(pg, true)
+	return nil
+}
+
+// Undelete makes a locator retired by Delete an empty LOB again. A
+// transaction that deletes a LOB empties it first, so rolling the delete
+// back is Undelete followed by the undo of the emptying.
+func (s *LOBStore) Undelete(id int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id < 0 || id >= int64(storage.InvalidPage) {
+		return fmt.Errorf("loblib: no LOB with locator %d", id)
+	}
+	pg, err := s.pager.Fetch(storage.PageID(id))
+	if err != nil {
+		return err
+	}
+	putEmptyHeader(pg.Data)
+	s.pager.Unpin(pg, true)
 	return nil
 }
 
@@ -143,47 +183,124 @@ func (s *LOBStore) ResetStats() {
 // structures (§5's proposed concurrency mechanism).
 func (s *LOBStore) Locks() *RangeLockTable { return s.locks }
 
-// DirEntry is the serializable directory record of one LOB.
-type DirEntry struct {
-	ID     int64
-	Pages  []storage.PageID
-	Length int64
+func putEmptyHeader(data []byte) {
+	binary.BigEndian.PutUint32(data[0:4], lobMagic)
+	binary.BigEndian.PutUint64(data[4:12], 0)
+	binary.BigEndian.PutUint32(data[12:16], 0)
+	binary.BigEndian.PutUint32(data[16:20], uint32(storage.InvalidPage))
 }
 
-// Snapshot exports the LOB directory for persistence.
-func (s *LOBStore) Snapshot() []DirEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]DirEntry, 0, len(s.lobs))
-	for id, e := range s.lobs {
-		out = append(out, DirEntry{ID: id, Pages: append([]storage.PageID(nil), e.pages...), Length: e.length})
+// load decodes the directory of LOB id. Callers hold s.mu.
+func (s *LOBStore) load(id int64) (*lobDir, error) {
+	if id < 0 || id >= int64(storage.InvalidPage) {
+		return nil, fmt.Errorf("loblib: no LOB with locator %d", id)
 	}
-	return out
-}
-
-// Restore replaces the LOB directory from a snapshot (database reopen).
-func (s *LOBStore) Restore(entries []DirEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lobs = make(map[int64]*lobEntry, len(entries))
-	s.nextID = 1
-	for _, e := range entries {
-		s.lobs[e.ID] = &lobEntry{pages: append([]storage.PageID(nil), e.Pages...), length: e.Length}
-		if e.ID >= s.nextID {
-			s.nextID = e.ID + 1
+	pg, err := s.pager.Fetch(storage.PageID(id))
+	if err != nil {
+		return nil, fmt.Errorf("loblib: no LOB with locator %d: %w", id, err)
+	}
+	if binary.BigEndian.Uint32(pg.Data[0:4]) != lobMagic {
+		s.pager.Unpin(pg, false)
+		return nil, fmt.Errorf("loblib: no LOB with locator %d", id)
+	}
+	d := &lobDir{length: int64(binary.BigEndian.Uint64(pg.Data[4:12]))}
+	n := int(binary.BigEndian.Uint32(pg.Data[12:16]))
+	next := storage.PageID(binary.BigEndian.Uint32(pg.Data[16:20]))
+	d.pages = readSlots(make([]storage.PageID, 0, n), pg.Data[lobHdrSlots:], n)
+	s.pager.Unpin(pg, false)
+	for next != storage.InvalidPage {
+		op, err := s.pager.Fetch(next)
+		if err != nil {
+			return nil, err
 		}
+		d.overflow = append(d.overflow, next)
+		d.pages = readSlots(d.pages, op.Data[lobOvfSlots:], n-len(d.pages))
+		next = storage.PageID(binary.BigEndian.Uint32(op.Data[0:4]))
+		s.pager.Unpin(op, false)
 	}
+	if len(d.pages) != n {
+		return nil, fmt.Errorf("loblib: LOB %d lists %d of %d pages", id, len(d.pages), n)
+	}
+	return d, nil
+}
+
+// save writes d back to the header of LOB id, growing or shrinking the
+// overflow chain to fit the page list. Callers hold s.mu.
+func (s *LOBStore) save(id int64, d *lobDir) error {
+	need := 0
+	if len(d.pages) > lobHdrCap {
+		need = (len(d.pages) - lobHdrCap + lobOvfCap - 1) / lobOvfCap
+	}
+	for len(d.overflow) > need {
+		s.pager.Free(d.overflow[len(d.overflow)-1])
+		d.overflow = d.overflow[:len(d.overflow)-1]
+	}
+	for len(d.overflow) < need {
+		pg, err := s.pager.NewPage()
+		if err != nil {
+			return err
+		}
+		s.pager.Unpin(pg, true)
+		d.overflow = append(d.overflow, pg.ID)
+	}
+	link := func(i int) storage.PageID {
+		if i < len(d.overflow) {
+			return d.overflow[i]
+		}
+		return storage.InvalidPage
+	}
+	pg, err := s.pager.Fetch(storage.PageID(id))
+	if err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint64(pg.Data[4:12], uint64(d.length))
+	binary.BigEndian.PutUint32(pg.Data[12:16], uint32(len(d.pages)))
+	binary.BigEndian.PutUint32(pg.Data[16:20], uint32(link(0)))
+	rest := d.pages[writeSlots(pg.Data[lobHdrSlots:], d.pages):]
+	s.pager.Unpin(pg, true)
+	for i, oid := range d.overflow {
+		op, err := s.pager.Fetch(oid)
+		if err != nil {
+			return err
+		}
+		binary.BigEndian.PutUint32(op.Data[0:4], uint32(link(i+1)))
+		rest = rest[writeSlots(op.Data[lobOvfSlots:], rest):]
+		s.pager.Unpin(op, true)
+	}
+	return nil
+}
+
+// readSlots appends up to n page ids decoded from src to dst.
+func readSlots(dst []storage.PageID, src []byte, n int) []storage.PageID {
+	n = min(n, len(src)/4)
+	for i := 0; i < n; i++ {
+		dst = append(dst, storage.PageID(binary.BigEndian.Uint32(src[4*i:])))
+	}
+	return dst
+}
+
+// writeSlots encodes as many of ids as fit into dst and returns how many.
+func writeSlots(dst []byte, ids []storage.PageID) int {
+	n := min(len(ids), len(dst)/4)
+	for i := 0; i < n; i++ {
+		binary.BigEndian.PutUint32(dst[4*i:], uint32(ids[i]))
+	}
+	return n
 }
 
 type lobHandle struct {
 	store *LOBStore
-	entry *lobEntry
+	id    int64
 }
 
 func (h *lobHandle) Length() (int64, error) {
 	h.store.mu.Lock()
 	defer h.store.mu.Unlock()
-	return h.entry.length, nil
+	d, err := h.store.load(h.id)
+	if err != nil {
+		return 0, err
+	}
+	return d.length, nil
 }
 
 func (h *lobHandle) Truncate(size int64) error {
@@ -192,34 +309,34 @@ func (h *lobHandle) Truncate(size int64) error {
 	if size < 0 {
 		return fmt.Errorf("loblib: negative truncate size")
 	}
-	need := int((size + storage.PageSize - 1) / storage.PageSize)
-	for len(h.entry.pages) > need {
-		last := h.entry.pages[len(h.entry.pages)-1]
-		h.store.pager.Free(last)
-		h.entry.pages = h.entry.pages[:len(h.entry.pages)-1]
+	d, err := h.store.load(h.id)
+	if err != nil {
+		return err
 	}
-	for len(h.entry.pages) < need {
+	need := int((size + storage.PageSize - 1) / storage.PageSize)
+	for len(d.pages) > need {
+		h.store.pager.Free(d.pages[len(d.pages)-1])
+		d.pages = d.pages[:len(d.pages)-1]
+	}
+	for len(d.pages) < need {
 		pg, err := h.store.pager.NewPage()
 		if err != nil {
 			return err
 		}
 		h.store.pager.Unpin(pg, true)
-		h.entry.pages = append(h.entry.pages, pg.ID)
+		d.pages = append(d.pages, pg.ID)
 	}
-	if size < h.entry.length && size%storage.PageSize != 0 {
+	if size < d.length && size%storage.PageSize != 0 {
 		// Zero the tail of the last page beyond the new length.
-		idx := int(size / storage.PageSize)
-		pg, err := h.store.pager.Fetch(h.entry.pages[idx])
+		pg, err := h.store.pager.Fetch(d.pages[size/storage.PageSize])
 		if err != nil {
 			return err
 		}
-		for i := size % storage.PageSize; i < storage.PageSize; i++ {
-			pg.Data[i] = 0
-		}
+		clear(pg.Data[size%storage.PageSize:])
 		h.store.pager.Unpin(pg, true)
 	}
-	h.entry.length = size
-	return nil
+	d.length = size
+	return h.store.save(h.id, d)
 }
 
 func (h *lobHandle) ReadAt(p []byte, off int64) (int, error) {
@@ -229,19 +346,22 @@ func (h *lobHandle) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("loblib: negative offset")
 	}
-	if off >= h.entry.length {
+	d, err := h.store.load(h.id)
+	if err != nil {
+		return 0, err
+	}
+	if off >= d.length {
 		return 0, io.EOF
 	}
 	n := 0
-	for n < len(p) && off < h.entry.length {
-		idx := int(off / storage.PageSize)
+	for n < len(p) && off < d.length {
 		inPage := int(off % storage.PageSize)
-		pg, err := h.store.pager.Fetch(h.entry.pages[idx])
+		pg, err := h.store.pager.Fetch(d.pages[off/storage.PageSize])
 		if err != nil {
 			return n, err
 		}
 		avail := storage.PageSize - inPage
-		if rem := h.entry.length - off; int64(avail) > rem {
+		if rem := d.length - off; int64(avail) > rem {
 			avail = int(rem)
 		}
 		c := copy(p[n:], pg.Data[inPage:inPage+avail])
@@ -258,39 +378,41 @@ func (h *lobHandle) ReadAt(p []byte, off int64) (int, error) {
 
 func (h *lobHandle) WriteAt(p []byte, off int64) (int, error) {
 	h.store.mu.Lock()
+	defer h.store.mu.Unlock()
 	h.store.stats.WriteOps++
 	h.store.stats.BytesWritten += int64(len(p))
+	d, err := h.store.load(h.id)
+	if err != nil {
+		return 0, err
+	}
 	end := off + int64(len(p))
-	// Extend page list as needed (without zero-filling intermediate data;
-	// fresh pages are already zeroed).
-	need := int((end + storage.PageSize - 1) / storage.PageSize)
-	for len(h.entry.pages) < need {
-		pg, err := h.store.pager.NewPage()
-		if err != nil {
-			h.store.mu.Unlock()
+	if end > d.length {
+		// Extend the page list (fresh pages are already zeroed, so a
+		// write past the end leaves a zero-filled hole).
+		for need := int((end + storage.PageSize - 1) / storage.PageSize); len(d.pages) < need; {
+			pg, err := h.store.pager.NewPage()
+			if err != nil {
+				return 0, err
+			}
+			h.store.pager.Unpin(pg, true)
+			d.pages = append(d.pages, pg.ID)
+		}
+		d.length = end
+		if err := h.store.save(h.id, d); err != nil {
 			return 0, err
 		}
-		h.store.pager.Unpin(pg, true)
-		h.entry.pages = append(h.entry.pages, pg.ID)
-	}
-	if end > h.entry.length {
-		h.entry.length = end
 	}
 	n := 0
 	for n < len(p) {
-		idx := int(off / storage.PageSize)
-		inPage := int(off % storage.PageSize)
-		pg, err := h.store.pager.Fetch(h.entry.pages[idx])
+		pg, err := h.store.pager.Fetch(d.pages[off/storage.PageSize])
 		if err != nil {
-			h.store.mu.Unlock()
 			return n, err
 		}
-		c := copy(pg.Data[inPage:], p[n:])
+		c := copy(pg.Data[off%storage.PageSize:], p[n:])
 		h.store.pager.Unpin(pg, true)
 		n += c
 		off += int64(c)
 	}
-	h.store.mu.Unlock()
 	return n, nil
 }
 

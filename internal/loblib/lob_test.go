@@ -290,3 +290,52 @@ func TestRangeLockBlocksUntilRelease(t *testing.T) {
 		t.Error("unlock of unheld range succeeded")
 	}
 }
+
+// TestLOBDirectoryOverflowChain grows a LOB past the header's page-list
+// capacity, so its directory continues in overflow pages, and checks that
+// a second store over the same pager (a reopen: the directory lives only
+// in pages) reads it back, then that shrinking frees the chain again.
+func TestLOBDirectoryOverflowChain(t *testing.T) {
+	p := storage.NewPager(storage.NewMemBackend(), 64)
+	s := NewLOBStore(p)
+	id, _ := s.Create()
+	b, _ := s.Open(id)
+	tailOff := int64(lobHdrCap+lobOvfCap+5) * storage.PageSize
+	if _, err := b.WriteAt([]byte("head"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteAt([]byte("tail"), tailOff); err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.overflow) != 2 {
+		t.Fatalf("overflow chain = %d pages, want 2", len(d.overflow))
+	}
+
+	reopened, err := NewLOBStore(p).Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := reopened.Length(); n != tailOff+4 {
+		t.Fatalf("Length after reopen = %d, want %d", n, tailOff+4)
+	}
+	for off, want := range map[int64]string{0: "head", tailOff: "tail"} {
+		got := make([]byte, 4)
+		if _, err := reopened.ReadAt(got, off); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("ReadAt(%d) after reopen = %q, want %q", off, got, want)
+		}
+	}
+
+	if err := reopened.Truncate(4); err != nil {
+		t.Fatal(err)
+	}
+	if d, _ = s.load(id); len(d.overflow) != 0 || len(d.pages) != 1 {
+		t.Fatalf("after shrink: %d pages, %d overflow pages; want 1, 0", len(d.pages), len(d.overflow))
+	}
+}

@@ -115,7 +115,7 @@ type WaitStats struct {
 	durations Histogram
 
 	disabled  atomic.Bool
-	slowNanos atomic.Int64                  // threshold for EvSlowWait flight events; 0 = off
+	slowNanos atomic.Int64                   // threshold for EvSlowWait flight events; 0 = off
 	flight    atomic.Pointer[FlightRecorder] // receives EvSlowWait events when set
 }
 

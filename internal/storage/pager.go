@@ -780,12 +780,12 @@ func (p *Pager) OwnedPages() []PageID {
 // AppendUnloggedFor appends to w the image of every unlogged dirty frame
 // in the committing transaction's write set — frames it owns, plus
 // orphans (owner 0), whose content is committed-equivalent by
-// construction (superblock initialization, snapshot-chain writes,
-// rolled-back transactions' restored images). Swept frames are marked
-// logged and disowned. Frames owned by other uncommitted transactions
-// are skipped: that is the per-transaction write-set contract that lets
-// concurrent writers commit without logging each other's in-flight
-// changes. Returns how many pages were appended.
+// construction (superblock initialization, writes made outside any
+// transaction, rolled-back transactions' restored images). Swept frames
+// are marked logged and disowned. Frames owned by other uncommitted
+// transactions are skipped: that is the per-transaction write-set
+// contract that lets concurrent writers commit without logging each
+// other's in-flight changes. Returns how many pages were appended.
 //
 // The sweep runs inside the committing transaction's mutation window, so
 // no frame's dirty/logged/owner state changes under it; the two-phase

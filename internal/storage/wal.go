@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"sync"
 	"time"
 
@@ -31,6 +30,12 @@ import (
 // and a strictly increasing sequence number; the first record that fails
 // either check ends replay — a torn append at the log tail (the classic
 // power-loss artifact) is thereby ignored rather than misapplied.
+
+// ErrWALTruncated is returned by SyncShared when the records it was asked
+// to make durable were cut by TruncateToSynced (another committer's
+// append or sync failed first): they can no longer become durable, so
+// the commit they belong to must not be acknowledged.
+var ErrWALTruncated = errors.New("storage: wal truncated below the sync target")
 
 // WALSink is the append-only byte store underneath the WAL. It is
 // deliberately minimal so fault-injection wrappers can model power loss
@@ -97,70 +102,10 @@ func (m *MemWALSink) Reset() error {
 // Close implements WALSink.
 func (m *MemWALSink) Close() error { return nil }
 
-// FileWALSink is a log stored in a single appended-to file.
-type FileWALSink struct {
-	f   *os.File
-	off int64
-}
-
-// OpenFileWALSink opens (creating if needed) a file-backed WAL.
-func OpenFileWALSink(path string) (*FileWALSink, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open wal %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
-	return &FileWALSink{f: f, off: st.Size()}, nil
-}
-
-// Append implements WALSink.
-func (s *FileWALSink) Append(p []byte) error {
-	if _, err := s.f.WriteAt(p, s.off); err != nil {
-		// A short write leaves garbage past off, but off itself stays on
-		// the record boundary: Contents() never reads the partial bytes
-		// and the next append (if any) overwrites them.
-		return err
-	}
-	s.off += int64(len(p))
-	return nil
-}
-
-// Sync implements WALSink.
-func (s *FileWALSink) Sync() error { return s.f.Sync() }
-
-// Contents implements WALSink.
-func (s *FileWALSink) Contents() ([]byte, error) {
-	buf := make([]byte, s.off)
-	if _, err := s.f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Truncate implements WALSink.
-func (s *FileWALSink) Truncate(n int64) error {
-	if err := s.f.Truncate(n); err != nil {
-		return err
-	}
-	s.off = n
-	return s.f.Sync()
-}
-
-// Reset implements WALSink.
-func (s *FileWALSink) Reset() error {
-	return s.Truncate(0)
-}
-
-// Close implements WALSink.
-func (s *FileWALSink) Close() error { return s.f.Close() }
-
 // Record kinds.
 const (
 	walRecPage   = 1 // payload: page id (4) + page image (PageSize)
-	walRecCommit = 2 // payload: txn id (8) + snapshot length (4) + snapshot bytes
+	walRecCommit = 2 // payload: txn id (8)
 )
 
 // walHeaderSize is the fixed per-record header: payload length (4),
@@ -310,15 +255,12 @@ func (w *WAL) AppendPage(id PageID, data []byte) error {
 	return nil
 }
 
-// AppendCommit logs a commit record carrying the transaction id and a
-// serialized dictionary snapshot (the engine's volatile metadata — row
-// counts, bitmap indexes, the LOB directory — rides along so recovery
-// restores it without a checkpoint).
-func (w *WAL) AppendCommit(txID int64, snapshot []byte) error {
-	payload := make([]byte, 8+4+len(snapshot))
-	binary.BigEndian.PutUint64(payload[0:8], uint64(txID))
-	binary.BigEndian.PutUint32(payload[8:12], uint32(len(snapshot)))
-	copy(payload[12:], snapshot)
+// AppendCommit logs a commit record: the transaction id alone. Every
+// piece of state the commit makes durable is in the page images before
+// it — the dictionary included, which DDL writes to pages.
+func (w *WAL) AppendCommit(txID int64) error {
+	payload := make([]byte, 8)
+	binary.BigEndian.PutUint64(payload, uint64(txID))
 	if err := w.append(walRecCommit, payload); err != nil {
 		return err
 	}
@@ -363,6 +305,9 @@ func (w *WAL) SyncShared(target int64) error {
 		}
 		if w.synced >= target {
 			return nil // covered by a leader's fsync (or already durable)
+		}
+		if target > w.size {
+			return ErrWALTruncated // the records up to target were cut
 		}
 		if !w.syncing {
 			break // become the leader for the next epoch
@@ -470,14 +415,10 @@ type RecoveryInfo struct {
 	// records appended after recovery are contiguous with readable ones
 	// and a second replay can reach them.
 	IntactBytes int64
-	// Snapshot is the dictionary snapshot of the newest applied commit,
-	// nil when the log held no commits (the page-file snapshot chain is
-	// then authoritative).
-	Snapshot []byte
 }
 
-// ReplayWAL applies every committed page image in the log to the backend
-// and returns the newest committed dictionary snapshot. The backend is
+// ReplayWAL applies every committed page image in the log to the backend.
+// The backend is
 // synced before return, so a crash during recovery just replays again.
 // A torn or corrupt tail ends replay and is truncated off the sink, so
 // everything appended afterwards — notably the post-recovery
@@ -524,11 +465,7 @@ scan:
 			}
 			pending[id] = payload[4 : 4+PageSize]
 		case walRecCommit:
-			if payloadLen < 12 {
-				break scan
-			}
-			snapLen := int(binary.BigEndian.Uint32(payload[8:12]))
-			if len(payload)-12 < snapLen {
+			if payloadLen != 8 {
 				break scan
 			}
 			if err := applyPending(b, pending, pendingOrder, &info); err != nil {
@@ -537,9 +474,6 @@ scan:
 			pending = make(map[PageID][]byte)
 			pendingOrder = pendingOrder[:0]
 			info.Commits++
-			if snapLen > 0 {
-				info.Snapshot = append([]byte(nil), payload[12:12+snapLen]...)
-			}
 		default:
 			break scan
 		}

@@ -24,7 +24,7 @@ func appendCommitted(t *testing.T, w *WAL, id PageID, fill byte) {
 	if err := w.AppendPage(id, walPage(fill)); err != nil {
 		t.Fatalf("AppendPage: %v", err)
 	}
-	if err := w.AppendCommit(1, nil); err != nil {
+	if err := w.AppendCommit(1); err != nil {
 		t.Fatalf("AppendCommit: %v", err)
 	}
 	if err := w.Sync(); err != nil {
@@ -105,7 +105,7 @@ func TestWALTruncateToSynced(t *testing.T) {
 	if err := w.AppendPage(1, walPage(0x22)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendCommit(2, nil); err != nil {
+	if err := w.AppendCommit(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.TruncateToSynced(); err != nil {
@@ -136,6 +136,24 @@ func TestWALTruncateToSynced(t *testing.T) {
 	}
 	if info.Commits != 2 || info.TornTail {
 		t.Fatalf("replay after post-truncation append: %+v, want 2 commits", info)
+	}
+}
+
+// TestWALSyncSharedFailsPastTruncation pins the follower side of a failed
+// commit: a committer that appended its batch, then lost it to another
+// committer's TruncateToSynced, must not have its commit acknowledged by
+// a later fsync of the shortened log.
+func TestWALSyncSharedFailsPastTruncation(t *testing.T) {
+	w := NewWAL(NewMemWALSink(), 0, 0)
+	if err := w.AppendCommit(1); err != nil {
+		t.Fatal(err)
+	}
+	target := w.LogSize()
+	if err := w.TruncateToSynced(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SyncShared(target); !errors.Is(err, ErrWALTruncated) {
+		t.Fatalf("SyncShared past the truncated log = %v, want ErrWALTruncated", err)
 	}
 }
 
@@ -208,7 +226,7 @@ func appendTxBatch(t *testing.T, w *WAL, tx *txScript) {
 			t.Fatalf("AppendPage: %v", err)
 		}
 	}
-	if err := w.AppendCommit(tx.id, nil); err != nil {
+	if err := w.AppendCommit(tx.id); err != nil {
 		t.Fatalf("AppendCommit: %v", err)
 	}
 }
