@@ -2,7 +2,7 @@ GO ?= go
 
 RACE_PKGS = repro/internal/txn repro/internal/storage repro/internal/engine repro/internal/extidx repro/internal/exec repro/internal/obs
 
-.PHONY: build vet lint test race crash fuzz obs-smoke check bench bench-batch bench-parallel bench-writers bench-storage
+.PHONY: build vet lint test bench-harness race crash fuzz obs-smoke check bench bench-batch bench-parallel bench-writers bench-storage
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,11 @@ lint:
 
 test:
 	$(GO) test ./...
+
+## bench-harness: vet and test the benchmark harness (extbench is a Go
+## module of its own, so the root ./... patterns never compile it)
+bench-harness:
+	cd extbench && $(GO) vet ./... && $(GO) test ./...
 
 ## race: race detector + runtime invariant checks on the concurrency-bearing packages
 ## (the engine suite alone runs ~10 minutes under -race on one core, so
@@ -47,7 +52,7 @@ obs-smoke:
 	$(GO) run ./cmd/benchrunner -quick -only E2,E6,E8,P1,W1,S1 -json -smoke > /dev/null
 
 ## check: everything CI runs
-check: build vet lint test race crash obs-smoke
+check: build vet lint test bench-harness race crash obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -231,19 +231,13 @@ type crashMedia struct {
 	sink    storage.WALSink
 }
 
-// newCrashMedia builds durable media for one crash scenario. segBytes = 0
-// selects the flat append-only MemWALSink; segBytes > 0 selects the
-// segmented sink with that per-segment payload capacity, so the same
-// matrix also power-fails at segment boundaries, header activations, and
-// checkpoint-time segment recycling.
+// newCrashMedia builds durable media for one crash scenario: a memory
+// page store and a memory segmented WAL with segBytes of payload per
+// segment (0 = the production default, storage.DefaultWALSegmentBytes).
+// Small segments make the same matrix also power-fail at segment
+// boundaries, header activations, and checkpoint-time segment recycling.
 func newCrashMedia(segBytes int64) crashMedia {
-	m := crashMedia{backend: storage.NewMemBackend()}
-	if segBytes > 0 {
-		m.sink = storage.NewMemSegmentedSink(segBytes)
-	} else {
-		m.sink = storage.NewMemWALSink()
-	}
-	return m
+	return crashMedia{backend: storage.NewMemBackend(), sink: storage.NewMemSegmentedSink(segBytes)}
 }
 
 // runWorkload opens a database over fault-wrapped media, runs the
@@ -879,7 +873,7 @@ func TestCrashMultiSessionIsolation(t *testing.T) {
 // its record must then never replay as committed, even though the
 // append itself became durable.
 type leakySink struct {
-	*storage.MemWALSink
+	*storage.SegmentedSink
 	failNextSync bool
 }
 
@@ -888,7 +882,7 @@ func (s *leakySink) Sync() error {
 		s.failNextSync = false
 		return errors.New("leaky: injected sync failure")
 	}
-	return s.MemWALSink.Sync()
+	return s.SegmentedSink.Sync()
 }
 
 // TestCrashFailedSyncDoesNotResurrect is the reopen half of WAL
@@ -897,7 +891,7 @@ func (s *leakySink) Sync() error {
 // bytes that happened to reach durable media before the failed sync.
 func TestCrashFailedSyncDoesNotResurrect(t *testing.T) {
 	backend := storage.NewMemBackend()
-	sink := &leakySink{MemWALSink: storage.NewMemWALSink()}
+	sink := &leakySink{SegmentedSink: storage.NewMemSegmentedSink(0)}
 	db, err := extdb.Open(extdb.Options{Backend: backend, WALSink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -949,7 +943,7 @@ func TestCrashFailedSyncDoesNotResurrect(t *testing.T) {
 // (recovery's job), and reopening shows only acknowledged data.
 func TestCrashCheckpointRefusedWithOpenTxn(t *testing.T) {
 	backend := storage.NewMemBackend()
-	sink := storage.NewMemWALSink()
+	sink := storage.NewMemSegmentedSink(0)
 	db, err := extdb.Open(extdb.Options{Backend: backend, WALSink: sink})
 	if err != nil {
 		t.Fatal(err)

@@ -10,19 +10,19 @@ import (
 )
 
 // delaySink wraps an in-memory WAL sink with a fixed per-fsync device
-// latency. MemWALSink's Sync is instantaneous, so a commit's leader
+// latency. The memory medium's Sync is instantaneous, so a commit's leader
 // always finishes syncing before any follower arrives and group commit
 // degenerates to one commit per fsync; the deterministic latency stands
 // in for a real disk (a 1 ms fsync is a fast SSD, and unlike a real
 // file in a tmpfs-backed CI container it behaves the same everywhere).
 type delaySink struct {
-	*storage.MemWALSink
+	*storage.SegmentedSink
 	latency time.Duration
 }
 
 func (s *delaySink) Sync() error {
 	time.Sleep(s.latency)
-	return s.MemWALSink.Sync()
+	return s.SegmentedSink.Sync()
 }
 
 // WriterSweep (W1) measures group commit: autocommit insert throughput
@@ -55,7 +55,7 @@ func WriterSweep(cfg Config) Table {
 	for _, w := range []int{1, 4, 16, 64} {
 		db := must1(engine.Open(engine.Options{
 			Backend:        storage.NewMemBackend(),
-			WALSink:        &delaySink{MemWALSink: storage.NewMemWALSink(), latency: syncLatency},
+			WALSink:        &delaySink{SegmentedSink: storage.NewMemSegmentedSink(0), latency: syncLatency},
 			CacheSizePages: 512,
 		}))
 		s := db.NewSession()

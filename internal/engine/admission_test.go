@@ -15,16 +15,12 @@ import (
 	"repro/internal/storage"
 )
 
-// newWALDB opens an in-memory database governed by an in-memory WAL —
-// the configuration in which write admission, frame ownership and the
-// mutation window are all active.
+// newWALDB opens a default in-memory database, which runs under its
+// in-memory WAL with write admission, frame ownership and the mutation
+// window all active.
 func newWALDB(t testing.TB) *DB {
 	t.Helper()
-	db, err := Open(Options{
-		Backend:        storage.NewMemBackend(),
-		WALSink:        storage.NewMemWALSink(),
-		CacheSizePages: 64,
-	})
+	db, err := Open(Options{CacheSizePages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

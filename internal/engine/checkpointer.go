@@ -12,13 +12,15 @@ import (
 // same DB.Checkpoint every caller uses, so the admission-map refusal
 // rules are enforced for it exactly as for a foreground caller.
 //
-// It is edge-triggered, not polled. Commit acknowledgements and buffer-
+// It is edge-triggered, not polled. Write-admission releases (every
+// logged commit's writer releases admission right after it) and buffer-
 // pool backpressure poke the trigger channel (non-blocking, capacity 1 —
 // pokes coalesce); on each wake it re-evaluates the thresholds and
 // checkpoints while one is exceeded. A checkpoint refused because a
 // writer is admitted (ErrTxnOpen) is counted as a skip and simply waits
-// for the next poke — the open writer's own commit is a guaranteed
-// future poke, so no timer is needed and an idle database runs no code.
+// for the next poke — the open writer's own admission release is a
+// guaranteed future poke, so no timer is needed and an idle database
+// runs no code.
 //
 // Close drains it deterministically: stopCheckpointer closes stop and
 // waits for done, after which no background checkpoint can be in flight
@@ -127,10 +129,10 @@ func (c *checkpointer) run() {
 	}
 }
 
-// startCheckpointer wires and starts the background checkpointer
-// (WAL-governed databases only, unless disabled by options).
+// startCheckpointer wires and starts the background checkpointer unless
+// options disable it.
 func (db *DB) startCheckpointer(opts Options, cachePages int) {
-	if db.wal == nil || opts.DisableBackgroundCheckpointer {
+	if opts.DisableBackgroundCheckpointer {
 		return
 	}
 	walBytes := opts.CheckpointWALBytes

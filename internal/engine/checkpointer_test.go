@@ -98,8 +98,8 @@ func TestBackgroundCheckpointerSkipsWhileWriterOpen(t *testing.T) {
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// The commit pokes; the preserved forced flag makes the attempt due
-	// even though both thresholds are sky-high.
+	// The commit's admission release pokes; the preserved forced flag
+	// makes the attempt due even though both thresholds are sky-high.
 	waitFor(t, "the deferred checkpoint", func() bool {
 		return db.ckpt.checkpoints.Load() >= 1
 	})

@@ -37,9 +37,8 @@ type Options struct {
 	// the page space).
 	Backend storage.Backend
 	// WALSink, when non-nil, overrides the redo-log store. When nil, a
-	// file database logs to Path+".wal" and an in-memory database runs
-	// without a WAL (there is no durable medium to recover from) unless a
-	// sink is injected.
+	// file database logs to the segment directory Path+".wal", and any
+	// other database to in-memory segments.
 	WALSink storage.WALSink
 	// DisableWaitEvents turns wait-event recording off (the per-class
 	// table stays empty; StartWait sites still run but record nothing).
@@ -81,7 +80,7 @@ type DB struct {
 	// B1 sweep this).
 	DefaultFetchBatch int
 
-	// wal is the redo log, nil when logging is disabled. walMu serializes
+	// wal is the redo log every database runs under. walMu serializes
 	// commit-record appends and checkpoint truncation against each other.
 	// walBroken is set after any failed log write: the log tail is then
 	// suspect, so further commits are refused until the database is
@@ -93,13 +92,12 @@ type DB struct {
 	walBroken bool
 	recovery  storage.RecoveryInfo
 
-	// ckpt is the background checkpointer (nil when no WAL governs the
-	// database or the checkpointer is disabled). Set once in Open before
-	// any session exists; Close drains it before checkpointing.
+	// ckpt is the background checkpointer (nil when the checkpointer is
+	// disabled). Set once in Open before any session exists; Close drains
+	// it before checkpointing.
 	ckpt *checkpointer
 
-	// Write concurrency (WAL-governed databases). Three layers replace
-	// the old single-writer gate:
+	// Write concurrency is governed by three layers:
 	//
 	//   - admission: an RWMutex taken shared by ordinary write
 	//     transactions (from their first write statement until they
@@ -230,7 +228,7 @@ var ErrTxnOpen = errors.New("engine: checkpoint refused: a write transaction is 
 // refuses (ErrTxnOpen) whenever that map is non-empty, even when its
 // TryLock momentarily succeeds.
 func (db *DB) admitTxn(t *txn.Txn, exclusive bool) {
-	if db.wal == nil || t == nil {
+	if t == nil {
 		return
 	}
 	db.admitMu.Lock()
@@ -259,11 +257,7 @@ func (db *DB) admitTxn(t *txn.Txn, exclusive bool) {
 			wasEx := db.admitted[t]
 			delete(db.admitted, t)
 			db.admitMu.Unlock()
-			if wasEx {
-				db.admission.Unlock()
-			} else {
-				db.admission.RUnlock()
-			}
+			db.admitRelease(wasEx)
 		}
 		t.OnCommit(release)
 		t.OnRollback(release)
@@ -291,13 +285,20 @@ func (db *DB) admitAcquire(exclusive bool) {
 	//vetx:ignore lockbalance -- acquisition helper: callers pair it with admitRelease or transfer ownership
 }
 
-// admitRelease undoes one admitAcquire (statement-scoped autocommit
-// grants).
+// admitRelease undoes one admitAcquire and wakes the background
+// checkpointer: the writer's commit may have pushed the log or the
+// dirty-frame count over a threshold, and only now, with admission
+// free, can the checkpoint pass. (A poke at commit acknowledgement
+// would come too early: an autocommit writer still holds admission
+// then, the attempt is refused, and no later poke may follow.)
 func (db *DB) admitRelease(exclusive bool) {
 	if exclusive {
 		db.admission.Unlock()
 	} else {
 		db.admission.RUnlock()
+	}
+	if db.ckpt != nil {
+		db.ckpt.poke(false)
 	}
 }
 
@@ -330,9 +331,6 @@ func (db *DB) needsExclusiveAdmission(tables []string) bool {
 // callback sessions (same txn) and rollback inside a failing statement
 // nest. Returns the paired exit.
 func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
-	if db.wal == nil {
-		return func() {}
-	}
 	db.mutStateMu.Lock()
 	if db.mutDepth > 0 && db.mutOwner == txID {
 		db.mutDepth++
@@ -364,11 +362,8 @@ func (db *DB) enterMutation(txID int64, undo bool) (exit func()) {
 }
 
 // RecoveryInfo reports what WAL replay did during Open (zero value when
-// no WAL is configured or the log was empty).
+// the log was empty).
 func (db *DB) RecoveryInfo() storage.RecoveryInfo { return db.recovery }
-
-// WALEnabled reports whether a write-ahead log governs this database.
-func (db *DB) WALEnabled() bool { return db.wal != nil }
 
 // FetchCalls reports the cumulative number of ODCIIndexFetch invocations,
 // read from the ODCI boundary observer (every registry-resolved scan is
@@ -378,11 +373,12 @@ func (db *DB) FetchCalls() int64 { return db.odci.Calls(obs.CbFetch) }
 // ResetFetchCalls zeroes the ODCIIndexFetch counter.
 func (db *DB) ResetFetchCalls() { db.odci.ResetCallback(obs.CbFetch) }
 
-// Open creates or opens a database. When a WAL governs the page space
-// (file databases by default, or any injected WALSink), Open first
-// replays the log — applying every committed transaction's page images
-// to the backend and discarding uncommitted ones — then checkpoints and
-// truncates the log, so a crash during recovery simply replays again.
+// Open creates or opens a database. Every database runs under a WAL:
+// an injected WALSink, else a segment directory beside a file database,
+// else in-memory segments. Open first replays the log — applying every
+// committed transaction's page images to the backend and discarding
+// uncommitted ones — then checkpoints and truncates the log, so a crash
+// during recovery simply replays again.
 // The dictionary is then read from its page chain, and the derived state
 // (row counts, numeric ranges, bitmap indexes) rebuilt from the heaps.
 func Open(opts Options) (*DB, error) {
@@ -399,7 +395,9 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	sink := opts.WALSink
-	if sink == nil && opts.Path != "" && opts.Backend == nil {
+	switch {
+	case sink != nil:
+	case opts.Path != "" && opts.Backend == nil:
 		// The default file log is a directory of fixed-size recycled
 		// segments; a checkpoint retires segments back into the pool
 		// instead of growing one append-only file.
@@ -408,14 +406,12 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		sink = fs
+	default:
+		sink = storage.NewMemSegmentedSink(0)
 	}
-	var recovery storage.RecoveryInfo
-	if sink != nil {
-		info, err := storage.ReplayWAL(backend, sink)
-		if err != nil {
-			return nil, fmt.Errorf("engine: wal recovery: %w", err)
-		}
-		recovery = info
+	recovery, err := storage.ReplayWAL(backend, sink)
+	if err != nil {
+		return nil, fmt.Errorf("engine: wal recovery: %w", err)
 	}
 	cache := opts.CacheSizePages
 	if cache <= 0 {
@@ -452,13 +448,11 @@ func Open(opts Options) (*DB, error) {
 	db.locks.SetWaitStats(&db.waits)
 	db.txns.OnCommit(func(txID int64) { db.flight.Record(obs.EvCommit, txID, 0, "") })
 	db.txns.OnRollback(func(txID int64) { db.flight.Record(obs.EvRollback, txID, 0, "") })
-	if sink != nil {
-		db.wal = storage.NewWAL(sink, recovery.LastSeq, recovery.IntactBytes)
-		db.wal.SetObs(&db.waits, db.flight)
-		// Redo-only logging is correct only if uncommitted changes never
-		// reach the page file: no-steal buffer pool.
-		pager.SetNoSteal(true)
-	}
+	db.wal = storage.NewWAL(sink, recovery.LastSeq, recovery.IntactBytes)
+	db.wal.SetObs(&db.waits, db.flight)
+	// Redo-only logging is correct only if uncommitted changes never
+	// reach the page file: no-steal buffer pool.
+	pager.SetNoSteal(true)
 	if backend.NumPages() == 0 {
 		if err := db.initSuperblock(); err != nil {
 			return nil, err
@@ -466,67 +460,62 @@ func Open(opts Options) (*DB, error) {
 	} else if err := db.loadDictionary(); err != nil {
 		return nil, err
 	}
-	if db.wal != nil {
-		db.txns.SetCommitSink(db.logCommit)
-		// Undo replay restores page content, so it must run inside the
-		// mutation window — re-entrant when the statement that failed is
-		// already holding it.
-		db.txns.SetUndoScope(func(txID int64) func() {
-			return db.enterMutation(txID, true)
-		})
-		// Whatever frames a finished transaction still owns become
-		// orphans: a committed txn's frames were disowned by its sweep
-		// (anything left was re-dirtied logging, i.e. committed content),
-		// and a rolled-back txn's frames hold restored pre-images.
-		// Transaction-scoped admissions orphan their frames earlier, in
-		// the per-txn admission release (which must run before admission
-		// frees — see admitTxn); this manager-level handler is the path
-		// that covers statement-scoped (autocommit) writers, which hold
-		// admission until after their transaction finishes.
-		releaseOwner := func(txID int64) { db.pager.ReleaseOwner(txID) }
-		db.txns.OnCommit(releaseOwner)
-		db.txns.OnRollback(releaseOwner)
-		if recovery.Records > 0 || recovery.TornTail {
-			// Fold the replayed state into the page file and truncate the
-			// log so it does not grow across restarts.
-			if err := db.Checkpoint(); err != nil {
-				return nil, fmt.Errorf("engine: post-recovery checkpoint: %w", err)
-			}
+	db.txns.SetCommitSink(db.logCommit)
+	// Undo replay restores page content, so it must run inside the mutation
+	// window — re-entrant when the statement that failed is already
+	// holding it.
+	db.txns.SetUndoScope(func(txID int64) func() {
+		return db.enterMutation(txID, true)
+	})
+	// Whatever frames a finished transaction still owns become orphans: a
+	// committed txn's frames were disowned by its sweep (anything left was
+	// re-dirtied logging, i.e. committed content), and a rolled-back txn's
+	// frames hold restored pre-images. Transaction-scoped admissions orphan
+	// their frames earlier, in the per-txn admission release (which must
+	// run before admission frees — see admitTxn); this manager-level
+	// handler is the path that covers statement-scoped (autocommit)
+	// writers, which hold admission until after their transaction
+	// finishes.
+	releaseOwner := func(txID int64) { db.pager.ReleaseOwner(txID) }
+	db.txns.OnCommit(releaseOwner)
+	db.txns.OnRollback(releaseOwner)
+	if recovery.Records > 0 || recovery.TornTail {
+		// Fold the replayed state into the page file and truncate the log
+		// so it does not grow across restarts.
+		if err := db.Checkpoint(); err != nil {
+			return nil, fmt.Errorf("engine: post-recovery checkpoint: %w", err)
 		}
-		// The background checkpointer starts last: everything it touches
-		// is wired, and recovery's foreground checkpoint has already run.
-		db.startCheckpointer(opts, cache)
 	}
+	// The background checkpointer starts last: everything it touches is
+	// wired, and recovery's foreground checkpoint has already run.
+	db.startCheckpointer(opts, cache)
 	return db, nil
 }
 
 // Close checkpoints (flush + WAL truncation) and closes the database.
 // Close attempts every cleanup step even when an earlier one fails,
 // folding the errors together. When the checkpoint is refused or fails
-// under a WAL (open write transaction, broken or partially flushed log),
-// the buffer pool is discarded instead of flushed — flushing could push
-// uncommitted or unlogged pages to the page file — and the next Open
-// recovers committed state from the log.
+// (open write transaction, broken or partially flushed log), the buffer
+// pool is discarded instead of flushed — flushing could push uncommitted
+// or unlogged pages to the page file — and the next Open recovers
+// committed state from the log.
 func (db *DB) Close() error {
 	// Drain the background checkpointer first: a checkpoint of its own in
 	// flight holds admission, which would make the foreground checkpoint
 	// below report ErrTxnOpen and wrongly discard the buffer pool.
 	db.stopCheckpointer()
 	err := db.Checkpoint()
-	if err != nil && db.wal != nil {
+	if err != nil {
 		err = errors.Join(err, db.pager.CloseDiscard())
 	} else {
 		err = errors.Join(err, db.pager.Close())
 	}
-	if db.wal != nil {
-		// One more attempt to cut a suspect tail left by a failed commit
-		// whose truncation also failed; idempotent when already clean.
-		db.walMu.Lock()
-		err = errors.Join(err, db.wal.TruncateToSynced())
-		db.walMu.Unlock()
-		err = errors.Join(err, db.wal.Close())
-	}
-	return err
+	// One more attempt to cut a suspect tail left by a failed commit
+	// whose truncation also failed; idempotent when already clean.
+	db.walMu.Lock()
+	err = errors.Join(err, db.wal.TruncateToSynced())
+	db.walMu.Unlock()
+	return errors.Join(err, db.wal.Close())
 }
 
 // logCommit is the transaction manager's commit sink: it appends the
@@ -550,12 +539,6 @@ func (db *DB) logCommit(txID int64) error {
 		err = db.failWAL(err)
 		db.walMu.Unlock()
 		return err
-	}
-	// The acknowledged commit may have pushed the log or the dirty-frame
-	// count over a checkpoint threshold; let the background checkpointer
-	// re-evaluate (coalesced, non-blocking).
-	if db.ckpt != nil {
-		db.ckpt.poke(false)
 	}
 	return nil
 }
@@ -608,21 +591,17 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 // PagerStats returns buffer-pool I/O counters (benchmarks read these to
 // reproduce the paper's logical-I/O claims), with the WAL counters
-// folded in when a log governs the database.
+// folded in.
 func (db *DB) PagerStats() storage.Stats {
 	s := db.pager.Stats()
-	if db.wal != nil {
-		db.wal.AddStats(&s)
-	}
+	db.wal.AddStats(&s)
 	return s
 }
 
 // ResetPagerStats zeroes the I/O and WAL counters.
 func (db *DB) ResetPagerStats() {
 	db.pager.ResetStats()
-	if db.wal != nil {
-		db.wal.ResetStats()
-	}
+	db.wal.ResetStats()
 }
 
 // LeakCheck reports buffer-pool state that must not exist at rest (no
@@ -714,9 +693,6 @@ func (db *DB) Workspace() *extidx.Workspace { return db.ws }
 // disown on logging, admission release orphans the rest before letting
 // go), so the owner-0 sweep below covers everything dirty.
 func (db *DB) Checkpoint() error {
-	if db.wal == nil {
-		return db.pager.FlushAll()
-	}
 	if !db.admission.TryLock() {
 		db.noteCheckpointBlocked()
 		return ErrTxnOpen

@@ -63,7 +63,7 @@ type Metrics struct {
 	Workspace   WorkspaceStats
 	// CommitGroups is the distribution of commits acknowledged per shared
 	// fsync (group-commit batch sizes). Mean() > 1 means fsyncs are being
-	// shared; zero-valued when no WAL governs the database.
+	// shared.
 	CommitGroups obs.HistogramSnapshot
 	// Waits is the wait-event table: per-class blocked-time counts,
 	// totals and maxima, plus the all-class duration histogram.
@@ -110,7 +110,7 @@ func (db *DB) Metrics() Metrics {
 		},
 		Exec:         db.execStats.Snapshot(),
 		Workspace:    WorkspaceStats{Live: live, HighWater: high},
-		CommitGroups: db.commitGroups(),
+		CommitGroups: db.wal.GroupSizes(),
 		Waits:        waits,
 		Conflicts:    db.conflicts.Snapshot(),
 		FlightEvents: int64(db.flight.Len()),
@@ -137,15 +137,6 @@ func maxShardHitRate(shards []storage.ShardStats) float64 {
 		}
 	}
 	return hi
-}
-
-// commitGroups snapshots the WAL's group-size histogram (zero when no WAL
-// governs the database).
-func (db *DB) commitGroups() obs.HistogramSnapshot {
-	if db.wal == nil {
-		return obs.HistogramSnapshot{}
-	}
-	return db.wal.GroupSizes()
 }
 
 // ResetMetrics zeroes every observability counter (benchmark phases).

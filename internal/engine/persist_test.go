@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -135,6 +136,38 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 	}
 }
 
+// TestDefaultDatabaseIsWALGoverned pins that Open(Options{}) — the
+// in-memory default — runs the same commit and checkpoint protocol as a
+// file database: an autocommit write is logged with a commit record,
+// and Checkpoint refuses while a write transaction is open.
+func TestDefaultDatabaseIsWALGoverned(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.NewSession()
+	mustExec(t, s, `CREATE TABLE t(k NUMBER)`)
+	db.ResetMetrics()
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	if got := db.Metrics().Pager.WALCommits; got != 1 {
+		t.Fatalf("WAL commits after one autocommit INSERT = %d, want 1", got)
+	}
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, `INSERT INTO t VALUES (2)`)
+	if err := db.Checkpoint(); !errors.Is(err, ErrTxnOpen) {
+		t.Fatalf("Checkpoint with a write transaction open = %v, want ErrTxnOpen", err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint after commit: %v", err)
+	}
+}
+
 func TestCheckpointMakesImageReopenable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.db")
 	db, err := Open(Options{Path: path})
@@ -192,7 +225,7 @@ func (m failingCreate) Create(s extidx.Server, info extidx.IndexInfo) error {
 // callback DDL wrote new dictionary chains: the superblock must point at
 // the pre-DDL chain again, and a reopen must see the pre-DDL dictionary.
 func TestFailedDDLKeepsPreviousDictionary(t *testing.T) {
-	backend, sink := storage.NewMemBackend(), storage.NewMemWALSink()
+	backend, sink := storage.NewMemBackend(), storage.NewMemSegmentedSink(0)
 	db, err := Open(Options{Backend: backend, WALSink: sink})
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +276,7 @@ func TestFailedDDLKeepsPreviousDictionary(t *testing.T) {
 // within one page image.
 func TestCommitSizeIndependentOfDictionary(t *testing.T) {
 	commitBytes := func(big bool) int64 {
-		db, err := Open(Options{WALSink: storage.NewMemWALSink(), DisableBackgroundCheckpointer: true})
+		db, err := Open(Options{DisableBackgroundCheckpointer: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,18 +13,18 @@ import (
 )
 
 // slowSink is a WAL sink whose fsync costs a fixed simulated device
-// latency, the same trick internal/bench's W1 uses: MemWALSink syncs
+// latency, the same trick internal/bench's W1 uses: the memory medium syncs
 // instantaneously, so without it group commit never forms a group and
 // the WALGroupFsync wait class would only ever see near-zero leader
 // intervals.
 type slowSink struct {
-	*storage.MemWALSink
+	*storage.SegmentedSink
 	latency time.Duration
 }
 
 func (s *slowSink) Sync() error {
 	time.Sleep(s.latency)
-	return s.MemWALSink.Sync()
+	return s.SegmentedSink.Sync()
 }
 
 // TestWaitEventsUnderWriterStorm is the acceptance workload for the
@@ -36,7 +36,7 @@ func (s *slowSink) Sync() error {
 func TestWaitEventsUnderWriterStorm(t *testing.T) {
 	db, err := Open(Options{
 		Backend:        storage.NewMemBackend(),
-		WALSink:        &slowSink{MemWALSink: storage.NewMemWALSink(), latency: time.Millisecond},
+		WALSink:        &slowSink{SegmentedSink: storage.NewMemSegmentedSink(0), latency: time.Millisecond},
 		CacheSizePages: 256,
 	})
 	if err != nil {

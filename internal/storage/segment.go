@@ -59,8 +59,8 @@ const (
 	segHeaderSize = 4 + 8 + 8 + 4
 )
 
-// segSlot is one physical segment store (a file, or a memory buffer in
-// tests): header bytes at offset 0, payload from segHeaderSize on.
+// segSlot is one physical segment store (a file, or a memory buffer):
+// header bytes at offset 0, payload from segHeaderSize on.
 type segSlot interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
@@ -123,8 +123,9 @@ func OpenFileSegmentedSink(dir string, segBytes int64) (*SegmentedSink, error) {
 	return newSegmentedSink(&fileSegMedium{dir: dir}, segBytes)
 }
 
-// NewMemSegmentedSink returns an in-memory segmented WAL (crash harnesses
-// put a fault.Sink on top and treat this as the durable medium).
+// NewMemSegmentedSink returns an in-memory segmented WAL: the log of a
+// database with no page file to log beside and no injected sink (crash
+// harnesses put a fault.Sink on top and treat it as the durable medium).
 func NewMemSegmentedSink(segBytes int64) *SegmentedSink {
 	s, err := newSegmentedSink(&memSegMedium{slots: map[int]*memSegSlot{}}, segBytes)
 	if err != nil {
@@ -152,7 +153,6 @@ func (s *SegmentedSink) open() error {
 		return err
 	}
 	sort.Ints(slots)
-	type cand struct{ seg *segment }
 	byEpoch := map[uint64]map[uint64]*segment{}
 	var all []*segment
 	maxEpoch := uint64(0)
@@ -590,9 +590,7 @@ func (s *memSegSlot) WriteAt(p []byte, off int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if need := off + int64(len(p)); need > int64(len(s.buf)) {
-		grown := make([]byte, need)
-		copy(grown, s.buf)
-		s.buf = grown
+		s.growLocked(need)
 	}
 	copy(s.buf[off:], p)
 	return len(p), nil
@@ -602,13 +600,18 @@ func (s *memSegSlot) Truncate(size int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if size > int64(len(s.buf)) {
-		grown := make([]byte, size)
-		copy(grown, s.buf)
-		s.buf = grown
+		s.growLocked(size)
 		return nil
 	}
 	s.buf = s.buf[:size]
 	return nil
+}
+
+// growLocked extends the buffer to size with zero bytes (a file's hole
+// reads as zeros), growing capacity geometrically: a segment filled by
+// many small appends would otherwise be copied once per append.
+func (s *memSegSlot) growLocked(size int64) {
+	s.buf = append(s.buf, make([]byte, size-int64(len(s.buf)))...)
 }
 
 func (s *memSegSlot) Sync() error { return nil }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -392,6 +393,31 @@ func TestSegmentedManyEpochs(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestMemSegmentFillAllocation bounds the memory medium's allocation
+// when one default-size segment fills with page records: the slot buffer
+// must grow geometrically, not be reallocated to the exact new size (and
+// the whole prefix copied) on every extending append.
+func TestMemSegmentFillAllocation(t *testing.T) {
+	s := NewMemSegmentedSink(0)
+	defer s.Close()
+	rec := fill(3, walHeaderSize+4+PageSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := int64(0); n+int64(len(rec)) <= DefaultWALSegmentBytes; n += int64(len(rec)) {
+		if err := s.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if live, _ := s.Segments(); live != 1 {
+		t.Fatalf("records spilled into %d segments, want 1", live)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("filling one %d-byte segment allocated %d MiB, want < 64 MiB",
+			DefaultWALSegmentBytes, alloc>>20)
 	}
 }
 

@@ -61,47 +61,6 @@ type WALSink interface {
 	Close() error
 }
 
-// MemWALSink is an in-memory log, used for in-memory databases under
-// test harnesses (fault wrappers give it power-loss semantics).
-type MemWALSink struct {
-	buf []byte
-}
-
-// NewMemWALSink returns an empty in-memory WAL sink.
-func NewMemWALSink() *MemWALSink { return &MemWALSink{} }
-
-// Append implements WALSink.
-func (m *MemWALSink) Append(p []byte) error {
-	m.buf = append(m.buf, p...)
-	return nil
-}
-
-// Sync implements WALSink.
-func (m *MemWALSink) Sync() error { return nil }
-
-// Contents implements WALSink.
-func (m *MemWALSink) Contents() ([]byte, error) {
-	return append([]byte(nil), m.buf...), nil
-}
-
-// Truncate implements WALSink.
-func (m *MemWALSink) Truncate(n int64) error {
-	if n < 0 || n > int64(len(m.buf)) {
-		return fmt.Errorf("storage: wal truncate to %d outside log of %d bytes", n, len(m.buf))
-	}
-	m.buf = m.buf[:n]
-	return nil
-}
-
-// Reset implements WALSink.
-func (m *MemWALSink) Reset() error {
-	m.buf = m.buf[:0]
-	return nil
-}
-
-// Close implements WALSink.
-func (m *MemWALSink) Close() error { return nil }
-
 // Record kinds.
 const (
 	walRecPage   = 1 // payload: page id (4) + page image (PageSize)

@@ -37,7 +37,7 @@ func appendCommitted(t *testing.T, w *WAL, id PageID, fill byte) {
 // prefix, so records appended post-recovery are contiguous with readable
 // ones and a second replay reaches them.
 func TestWALTornTailTruncatedOnReplay(t *testing.T) {
-	sink := NewMemWALSink()
+	sink := NewMemSegmentedSink(0)
 	w := NewWAL(sink, 0, 0)
 	appendCommitted(t, w, 0, 0xAA)
 
@@ -49,7 +49,7 @@ func TestWALTornTailTruncatedOnReplay(t *testing.T) {
 	b := NewMemBackend()
 	full, _ := sink.Contents()
 	torn := full[:len(full)-PageSize/2]
-	sink2 := NewMemWALSink()
+	sink2 := NewMemSegmentedSink(0)
 	if err := sink2.Append(torn); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWALTornTailTruncatedOnReplay(t *testing.T) {
 // after the last successful Sync are discarded, so a commit record whose
 // sync failed cannot be replayed as committed.
 func TestWALTruncateToSynced(t *testing.T) {
-	sink := NewMemWALSink()
+	sink := NewMemSegmentedSink(0)
 	w := NewWAL(sink, 0, 0)
 	appendCommitted(t, w, 0, 0x11)
 	synced, _ := sink.Contents()
@@ -144,7 +144,7 @@ func TestWALTruncateToSynced(t *testing.T) {
 // committer's TruncateToSynced, must not have its commit acknowledged by
 // a later fsync of the shortened log.
 func TestWALSyncSharedFailsPastTruncation(t *testing.T) {
-	w := NewWAL(NewMemWALSink(), 0, 0)
+	w := NewWAL(NewMemSegmentedSink(0), 0, 0)
 	if err := w.AppendCommit(1); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,9 @@ func TestWALSyncSharedFailsPastTruncation(t *testing.T) {
 	}
 }
 
-// TestWALSinkTruncateBounds pins MemWALSink.Truncate's contract.
+// TestWALSinkTruncateBounds pins SegmentedSink.Truncate's contract.
 func TestWALSinkTruncateBounds(t *testing.T) {
-	sink := NewMemWALSink()
+	sink := NewMemSegmentedSink(0)
 	if err := sink.Append([]byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,12 @@ func TestWALSinkTruncateBounds(t *testing.T) {
 }
 
 // errSink fails every operation; ReplayWAL must surface the read error.
-type errSink struct{ MemWALSink }
+type errSink struct{ *SegmentedSink }
 
 func (errSink) Contents() ([]byte, error) { return nil, errors.New("boom") }
 
 func TestWALReplayReadError(t *testing.T) {
-	if _, err := ReplayWAL(NewMemBackend(), &errSink{}); err == nil {
+	if _, err := ReplayWAL(NewMemBackend(), errSink{NewMemSegmentedSink(0)}); err == nil {
 		t.Fatal("replay swallowed the sink read error")
 	}
 }
@@ -266,7 +266,7 @@ func TestWALGroupCommitInterleavingEquivalence(t *testing.T) {
 
 		// Grouped schedule: batches enter the log in `order`, a random
 		// run of consecutive batches sharing one fsync.
-		sink := NewMemWALSink()
+		sink := NewMemSegmentedSink(0)
 		w := NewWAL(sink, 0, 0)
 		for i := 0; i < k; {
 			g := 1 + rng.Intn(3)
@@ -289,7 +289,7 @@ func TestWALGroupCommitInterleavingEquivalence(t *testing.T) {
 		}
 
 		// Serial schedule: same commit order, one fsync per commit.
-		sinkSerial := NewMemWALSink()
+		sinkSerial := NewMemSegmentedSink(0)
 		ws := NewWAL(sinkSerial, 0, 0)
 		for _, oi := range order {
 			appendTxBatch(t, ws, txs[oi])
@@ -325,7 +325,7 @@ func TestWALGroupCommitInterleavingEquivalence(t *testing.T) {
 		full, _ := sink.Contents()
 		for trial := 0; trial < 10; trial++ {
 			cut := rng.Intn(len(full) + 1)
-			sinkTorn := NewMemWALSink()
+			sinkTorn := NewMemSegmentedSink(0)
 			if err := sinkTorn.Append(full[:cut]); err != nil {
 				t.Fatal(err)
 			}
@@ -368,7 +368,7 @@ func TestWALGroupCommitInterleavingEquivalence(t *testing.T) {
 // grouped-commit accounting is asserted exactly).
 func TestWALSharedSyncConcurrent(t *testing.T) {
 	const writers = 16
-	sink := NewMemWALSink()
+	sink := NewMemSegmentedSink(0)
 	w := NewWAL(sink, 0, 0)
 	var appendMu sync.Mutex
 	var wg sync.WaitGroup

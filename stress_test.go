@@ -34,7 +34,7 @@ const (
 // hold no leaked pins or orphan owners, keep heap/domain-index
 // agreement, checkpoint cleanly, and reopen to the same state.
 func TestStressConcurrentWriters(t *testing.T) {
-	backend, sink := storage.NewMemBackend(), storage.NewMemWALSink()
+	backend, sink := storage.NewMemBackend(), storage.NewMemSegmentedSink(0)
 	db, err := extdb.Open(extdb.Options{Backend: backend, WALSink: sink, CacheSizePages: 256})
 	if err != nil {
 		t.Fatal(err)
